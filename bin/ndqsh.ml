@@ -13,8 +13,7 @@ open Ndq
 
 type state = {
   mutable directory : Directory.t;
-  mutable engine : Engine.t;
-  mutable engine_generation : int;
+  mutable engine : Engine.t;  (* watches [directory] *)
   mutable block : int;
   mutable verbose : bool;
   mutable cache : Cache.t;  (* survives engine rebuilds, off by default *)
@@ -35,24 +34,27 @@ let ensure_parent path =
   if dir <> "." && dir <> "/" && not (Sys.file_exists dir) then
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
 
-(* Rebuild the engine's indexes after updates.  The result cache is
-   attached to the directory's update hooks, so it survives the rebuild
-   with footprint-precise invalidation instead of being dropped. *)
-let engine st =
-  if st.engine_generation <> Directory.generation st.directory then begin
-    st.engine <-
-      Engine.create ~block:st.block ~mode:st.mode ~planner:st.planner
-        ?result_cache:(if st.cache_on then Some st.cache else None)
-        (Directory.instance st.directory);
-    (* journaled queries feed the default plan-quality store, and the
-       planner reads its bias cells back: the self-tuning loop *)
-    Engine.set_calibration st.engine (Some Planstats.default);
-    st.engine_generation <- Directory.generation st.directory
-  end;
-  st.engine
+(* A fresh engine over the directory, watching it: updates are applied
+   to its indexes as deltas, so it lives until the cache toggles or a
+   :load replaces the directory.  The result cache is attached to the
+   directory's update hooks, so it survives an engine swap with
+   footprint-precise invalidation instead of being dropped. *)
+let make_engine ~block ~mode ~planner ?result_cache directory =
+  let eng =
+    Engine.create ~block ~mode ~planner ?result_cache ~directory
+      (Directory.instance directory)
+  in
+  (* journaled queries feed the default plan-quality store, and the
+     planner reads its bias cells back: the self-tuning loop *)
+  Engine.set_calibration eng (Some Planstats.default);
+  eng
 
-(* Force the next [engine] call to rebuild (generations are >= 0). *)
-let invalidate_engine st = st.engine_generation <- -1
+let replace_engine st =
+  Engine.unwatch st.engine;
+  st.engine <-
+    make_engine ~block:st.block ~mode:st.mode ~planner:st.planner
+      ?result_cache:(if st.cache_on then Some st.cache else None)
+      st.directory
 
 let load_directory kind size seed =
   match kind with
@@ -154,7 +156,7 @@ let show_result st entries =
       if st.verbose then Fmt.pr "%a@.@." Entry.pp e
       else Fmt.pr "  %a@." Dn.pp (Entry.dn e))
     entries;
-  Fmt.pr "io: %a@." Io_stats.pp (Engine.stats (engine st))
+  Fmt.pr "io: %a@." Io_stats.pp (Engine.stats st.engine)
 
 let parse_dn st text =
   Dn.of_string_with
@@ -162,7 +164,7 @@ let parse_dn st text =
     (String.trim text)
 
 let run_query st line =
-  let eng = engine st in
+  let eng = st.engine in
   let schema = Directory.schema st.directory in
   try
     (* One root span per shell query: parse and execute become children,
@@ -209,7 +211,7 @@ let replay st path =
   | exception Sys_error m -> Fmt.pr "%s@." m
   | exception Json.Parse_error m -> Fmt.pr "bad journal %s: %s@." path m
   | events ->
-      let eng = engine st in
+      let eng = st.engine in
       let schema = Directory.schema st.directory in
       let stats = Engine.stats eng in
       (* Don't journal the replay itself (least surprise, and replaying
@@ -498,13 +500,13 @@ let run_command st line =
       st.verbose <- not st.verbose;
       Fmt.pr "verbose = %b@." st.verbose
   | ":stats" :: "reset" :: _ ->
-      Engine.reset_stats (engine st);
+      Engine.reset_stats st.engine;
       Metrics.reset Metrics.default;
       Trace.clear ();
       Fmt.pr "io counters, metrics and traces reset@."
-  | ":stats" :: _ -> Fmt.pr "%a@." Io_stats.pp (Engine.stats (engine st))
+  | ":stats" :: _ -> Fmt.pr "%a@." Io_stats.pp (Engine.stats st.engine)
   | ":reset" :: _ ->
-      Engine.reset_stats (engine st);
+      Engine.reset_stats st.engine;
       Fmt.pr "counters reset@."
   | ":metrics" :: "json" :: _ -> print_string (Metrics.to_json_lines Metrics.default)
   | ":metrics" :: _ -> Fmt.pr "%a" Metrics.pp Metrics.default
@@ -625,13 +627,13 @@ let run_command st line =
       else Fmt.pr "%a" (Planstats.pp_workload ~top) Planstats.default
   | ":cache" :: "on" :: _ ->
       st.cache_on <- true;
-      invalidate_engine st;
+      replace_engine st;
       Fmt.pr "result cache on (budget %d pages, admission io>=%d)@."
         (Cache.budget_pages st.cache)
         (Cache.admit_min_io st.cache)
   | ":cache" :: "off" :: _ ->
       st.cache_on <- false;
-      invalidate_engine st;
+      replace_engine st;
       Fmt.pr "result cache off (entries kept; :cache clear to drop)@."
   | ":cache" :: "stats" :: _ ->
       Fmt.pr "@[<v>result cache %s@,%a@]@."
@@ -808,11 +810,11 @@ let run_command st line =
       | exception Dn.Parse_error m -> Fmt.pr "bad dn: %s@." m)
   | ":mode" :: "streaming" :: _ ->
       st.mode <- Engine.Streaming;
-      Engine.set_mode (engine st) Engine.Streaming;
+      Engine.set_mode st.engine Engine.Streaming;
       Fmt.pr "mode = streaming (operator boundaries pipeline)@."
   | ":mode" :: "materialized" :: _ ->
       st.mode <- Engine.Materialized;
-      Engine.set_mode (engine st) Engine.Materialized;
+      Engine.set_mode st.engine Engine.Materialized;
       Fmt.pr "mode = materialized (every intermediate result is written)@."
   | ":mode" :: _ ->
       Fmt.pr "mode is %s (usage: :mode streaming|materialized)@."
@@ -822,7 +824,7 @@ let run_command st line =
   | ":planner" :: rest -> (
       let set p name note =
         st.planner <- p;
-        Engine.set_planner (engine st) p;
+        Engine.set_planner st.engine p;
         Fmt.pr "planner = %s (%s)@." name note
       in
       match rest with
@@ -837,10 +839,10 @@ let run_command st line =
       | "force" :: "scan" :: _ | "scan" :: _ ->
           set Engine.Force_scan "force scan" "every sub atomic scans the subtree"
       | "paths" :: _ ->
-          let i, s, c = Engine.path_counts (engine st) in
+          let i, s, c = Engine.path_counts st.engine in
           Fmt.pr "paths taken: index=%d scan=%d cache=%d@." i s c
       | _ ->
-          let i, s, c = Engine.path_counts (engine st) in
+          let i, s, c = Engine.path_counts st.engine in
           Fmt.pr
             "planner is %s (paths: index=%d scan=%d cache=%d)@,\
              usage: :planner auto|off|force index|force scan|paths@."
@@ -854,7 +856,7 @@ let run_command st line =
       let text = String.trim (String.concat " " rest) in
       match Qparser.of_string ~schema:(Instance.schema instance) text with
       | q ->
-          let _, plan = Explain.profile ~mode:st.mode (engine st) q in
+          let _, plan = Explain.profile ~mode:st.mode st.engine q in
           Fmt.pr "%a@." Explain.pp_node plan;
           Fmt.pr "est writes saved by streaming: %d pages (mode: %s)@."
             (Explain.total_est_writes_saved plan)
@@ -919,13 +921,14 @@ let run_command st line =
           st.directory <- Directory.create loaded;
           (* fresh directory, fresh hooks: re-home the cache (settings
              survive, stale entries don't) *)
+          Cache.detach st.cache;
           st.cache <-
             Cache.create
               ~budget_pages:(Cache.budget_pages st.cache)
               ~admit_min_io:(Cache.admit_min_io st.cache)
               ();
           Cache.attach st.cache st.directory;
-          invalidate_engine st;
+          replace_engine st;
           Fmt.pr "loaded %d entries@." (Instance.size loaded)
       | exception Ldif.Parse_error m -> Fmt.pr "ldif error: %s@." m
       | exception Sys_error m -> Fmt.pr "%s@." m
@@ -967,8 +970,9 @@ let main kind size seed block journal monitor_port serve_port serve_workers
   let st =
     {
       directory;
-      engine = Engine.create ~block dir;
-      engine_generation = Directory.generation directory;
+      engine =
+        make_engine ~block ~mode:Engine.Streaming ~planner:Engine.Auto
+          directory;
       block;
       verbose = false;
       cache;
@@ -980,7 +984,6 @@ let main kind size seed block journal monitor_port serve_port serve_workers
       planner = Engine.Auto;
     }
   in
-  Engine.set_calibration st.engine (Some Planstats.default);
   (match journal with
   | Some path ->
       ensure_parent path;

@@ -44,6 +44,7 @@ type t = {
   mutable used_pages : int;
   mutable used_bytes : int;
   mutable dir : Directory.t option;
+  mutable unsubscribe : unit -> unit;  (* from [dir]'s update hooks *)
   mutable seen_generation : int;
   mutable hits : int;
   mutable misses : int;
@@ -86,6 +87,7 @@ let create ?(budget_pages = 256) ?(admit_min_io = 2) () =
     used_pages = 0;
     used_bytes = 0;
     dir = None;
+    unsubscribe = ignore;
     seen_generation = 0;
     hits = 0;
     misses = 0;
@@ -136,12 +138,19 @@ let sync t =
       Vtrie.bump_all t.trie
   | _ -> ()
 
+let detach t =
+  t.unsubscribe ();
+  t.unsubscribe <- ignore;
+  t.dir <- None
+
 let attach t dir =
+  detach t;
   t.dir <- Some dir;
   t.seen_generation <- Directory.generation dir;
-  Directory.on_update dir (fun (u : Directory.update) ->
-      t.seen_generation <- Directory.generation dir;
-      note_update ~subtree:u.Directory.subtree t u.Directory.dn)
+  t.unsubscribe <-
+    Directory.on_update dir (fun (u : Directory.update) ->
+        t.seen_generation <- Directory.generation dir;
+        note_update ~subtree:u.Directory.subtree t u.Directory.dn)
 
 (* --- Lookup / store ------------------------------------------------------- *)
 

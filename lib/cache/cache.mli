@@ -9,8 +9,8 @@
     page budget with exact LRU eviction; admission is cost-aware.
 
     A cache is an explicit handle, like [Io_stats] — no globals.
-    {!attach} subscribes it to a {!Directory}'s update hooks (at most
-    once per directory); the directory's generation counter is the
+    {!attach} subscribes it to one {!Directory}'s update hooks at a
+    time; the directory's generation counter is the
     coarse safety net, invalidating everything if it ever advances
     without a matching hook notification. *)
 
@@ -28,7 +28,11 @@ val create : ?budget_pages:int -> ?admit_min_io:int -> unit -> t
 
 val attach : t -> Directory.t -> unit
 (** Subscribe to the directory's update hooks for footprint-precise
-    invalidation, and adopt its generation as the safety net. *)
+    invalidation, and adopt its generation as the safety net.  Detaches
+    from any previously attached directory first. *)
+
+val detach : t -> unit
+(** Unsubscribe from the attached directory's hooks (no-op if none). *)
 
 val note_update : ?subtree:bool -> t -> Dn.t -> unit
 (** Record an update at [dn] directly (for sources without hooks, e.g.

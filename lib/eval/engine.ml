@@ -34,7 +34,6 @@ type t = {
   pager : Pager.t;
   mutable dn_index : Dn_index.t;
   mutable attr_index : Attr_index.t option;
-  with_attr_index : bool;
   pool : Buffer_pool.t option;  (* page cache behind the dn-index *)
   window : int;  (* in-memory pages for each operator's stack *)
   algorithms : algorithms;
@@ -43,7 +42,10 @@ type t = {
   mutable planner : planner;
   mutable calib : Planstats.t option;  (* estimate corrections, if any *)
   mutable directory : Directory.t option;  (* watched for staleness *)
-  mutable dirty : bool;  (* directory changed since the indexes were built *)
+  mutable unwatch : unit -> unit;  (* unsubscribes from [directory] *)
+  mutable pending : Directory.update list;
+      (* updates since the indexes were last brought up to date; their
+         key ranges are disjoint (see [note_update]) *)
   (* access paths taken by sub-scope atomics, for :planner / :top *)
   mutable n_path_index : int;
   mutable n_path_scan : int;
@@ -60,12 +62,37 @@ let m_path_scan = m_path "scan"
 let m_path_cache = m_path "cache"
 
 let m_refreshes =
-  Metrics.counter ~help:"index rebuilds after watched-directory updates"
+  Metrics.counter
+    ~help:"index refreshes applying watched-directory update deltas"
     "engine_index_refreshes_total"
 
+(* [a]'s key range contains [b]'s. *)
+let covers (a : Directory.update) (b : Directory.update) =
+  if a.subtree then Dn.is_self_or_descendant_of ~descendant:b.dn ~ancestor:a.dn
+  else (not b.subtree) && Dn.equal a.dn b.dn
+
+(* Queue an update, coalescing: one already covered by a pending update
+   is dropped, and pending updates it covers give way to it (a
+   root-subtree update replaces the whole list).  The ranges left are
+   disjoint, so each one's delta is applied exactly once. *)
+let note_update t u =
+  if not (List.exists (fun p -> covers p u) t.pending) then
+    t.pending <- u :: List.filter (fun p -> not (covers u p)) t.pending
+
+let unwatch t =
+  t.unwatch ();
+  t.unwatch <- ignore;
+  t.directory <- None;
+  t.pending <- []
+
 let watch t dir =
+  unwatch t;
   t.directory <- Some dir;
-  Directory.on_update dir (fun _ -> t.dirty <- true)
+  (* indexes built over some other instance catch up on the next
+     refresh like after a whole-namespace update *)
+  if t.instance != Directory.instance dir then
+    t.pending <- [ { Directory.dn = Dn.root; subtree = true } ];
+  t.unwatch <- Directory.on_update dir (note_update t)
 
 let create ?(block = 64) ?(window = 2) ?(with_attr_index = true)
     ?(algorithms = Stack_based) ?(cache_pages = 0) ?result_cache ?stats
@@ -83,9 +110,10 @@ let create ?(block = 64) ?(window = 2) ?(with_attr_index = true)
   (* Index construction is setup cost, not query cost. *)
   Io_stats.reset stats;
   let t =
-    { instance; pager; dn_index; attr_index; with_attr_index; pool; window;
-      algorithms; result_cache; mode; planner; calib = None; directory = None;
-      dirty = false; n_path_index = 0; n_path_scan = 0; n_path_cache = 0 }
+    { instance; pager; dn_index; attr_index; pool; window; algorithms;
+      result_cache; mode; planner; calib = None; directory = None;
+      unwatch = ignore; pending = []; n_path_index = 0; n_path_scan = 0;
+      n_path_cache = 0 }
   in
   Option.iter (watch t) directory;
   t
@@ -106,28 +134,36 @@ let calibration t = t.calib
 let set_calibration t c = t.calib <- c
 let path_counts t = (t.n_path_index, t.n_path_scan, t.n_path_cache)
 
-(* A watched directory swaps in a whole new instance on every mutation
-   (its generation bumps and hooks fire), so a dirty engine re-fetches
-   the instance and rebuilds both indexes before the next evaluation —
-   a post-update query through the index path must see the new values.
-   Rebuild I/O is maintenance, not query cost, so like [create] it is
-   not left on the query counters. *)
+(* A watched directory swaps in a whole new instance on every mutation,
+   sharing every untouched entry physically with the previous one, and
+   its hooks queue the update's locus in [pending].  Before the next
+   evaluation the engine adopts the directory's instance and applies
+   each pending update's delta to the attribute indexes — index work
+   only for entries that really changed, so a post-update query through
+   the index path sees the new values without a wholesale rebuild.  The
+   dn-index, a sorted-array copy, is rebuilt.  This runs on the
+   evaluating thread: the engine has a single writer.  Maintenance I/O
+   is not query cost, so like [create]'s it is not left on the query
+   counters. *)
 let refresh_if_dirty t =
-  if t.dirty then begin
-    t.dirty <- false;
-    match t.directory with
-    | None -> ()
-    | Some dir ->
-        let s = stats t in
-        let r0 = s.Io_stats.page_reads and w0 = s.Io_stats.page_writes in
-        t.instance <- Directory.instance dir;
-        t.dn_index <- Dn_index.build ?pool:t.pool t.pager t.instance;
-        if t.with_attr_index then
-          t.attr_index <- Some (Attr_index.build t.pager t.instance);
-        s.Io_stats.page_reads <- r0;
-        s.Io_stats.page_writes <- w0;
-        Metrics.incr m_refreshes
-  end
+  match (t.directory, t.pending) with
+  | None, _ | _, [] -> ()
+  | Some dir, pending ->
+      t.pending <- [];
+      let s = stats t in
+      let r0 = s.Io_stats.page_reads and w0 = s.Io_stats.page_writes in
+      let after = Directory.instance dir in
+      Option.iter
+        (fun idx ->
+          List.iter
+            (Attr_index.apply_update idx ~before:t.instance ~after)
+            pending)
+        t.attr_index;
+      t.instance <- after;
+      t.dn_index <- Dn_index.build ?pool:t.pool t.pager after;
+      s.Io_stats.page_reads <- r0;
+      s.Io_stats.page_writes <- w0;
+      Metrics.incr m_refreshes
 
 (* --- Atomic queries ----------------------------------------------------- *)
 

@@ -74,11 +74,19 @@ val path_counts : t -> int * int * int
     served since the engine was built (the [:planner paths] view). *)
 
 val watch : t -> Directory.t -> unit
-(** Subscribe to the directory's update hooks; any update marks the
-    engine dirty and the next evaluation re-fetches the instance and
-    rebuilds both indexes before running (rebuild I/O is maintenance,
-    not query cost).  Queries through the index path therefore always
-    see post-update values. *)
+(** Subscribe to the directory's update hooks (replacing any previous
+    subscription).  Each update's locus is queued, and the next
+    evaluation adopts the directory's current instance and applies the
+    queued deltas to the attribute indexes — work proportional to the
+    entries that changed, not to the instance — and rebuilds the
+    dn-index (maintenance I/O, not query cost).  Queries through the
+    index path therefore always see post-update values. *)
+
+val unwatch : t -> unit
+(** Unsubscribe from the watched directory, if any: later mutations no
+    longer reach the engine, which keeps serving the instance it last
+    refreshed to.  Call it before discarding a watched engine whose
+    directory lives on. *)
 
 val plan_rewrite : ?mode:mode -> t -> Ast.t -> Ast.t
 (** The planner's tree rewrite as {!eval} applies it: under [Auto],

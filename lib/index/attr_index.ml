@@ -41,6 +41,67 @@ let add_entry t e =
             (Dn.rev_key d) e)
     (Entry.attrs e)
 
+(* The inverse of [add_entry], walking the same pairs: no reverse map
+   from entries to postings is kept. *)
+let remove_entry t e =
+  List.iter
+    (fun (a, v) ->
+      match v with
+      | Value.Int i ->
+          Option.iter (fun bt -> Btree.remove bt i e) (Hashtbl.find_opt t.ints a)
+      | Value.Str s ->
+          Option.iter
+            (fun tr -> Str_trie.remove tr s e)
+            (Hashtbl.find_opt t.str_exact a);
+          Option.iter
+            (fun idx -> Str_trie.Substr.remove idx s e)
+            (Hashtbl.find_opt t.str_sub a)
+      | Value.Dn d ->
+          Option.iter
+            (fun tr -> Str_trie.remove tr (Dn.rev_key d) e)
+            (Hashtbl.find_opt t.dn_exact a))
+    (Entry.attrs e)
+
+(* Bring the index from [before] to [after] over the key range one
+   update touched: the entry at [u.dn], or its whole subtree.  Both
+   sides are walked in key order and merged; directory mutations share
+   every unchanged entry physically between instance versions, so an
+   untouched entry costs one [==] and only changed ones pay index
+   work. *)
+let apply_update t ~before ~after (u : Directory.update) =
+  let range inst =
+    if u.subtree then Instance.subtree inst u.dn
+    else Option.to_list (Instance.find inst u.dn)
+  in
+  let rec merge olds news =
+    match (olds, news) with
+    | [], [] -> ()
+    | o :: os, [] ->
+        remove_entry t o;
+        merge os []
+    | [], n :: ns ->
+        add_entry t n;
+        merge [] ns
+    | o :: os, n :: ns ->
+        let c = String.compare (Entry.key o) (Entry.key n) in
+        if c < 0 then begin
+          remove_entry t o;
+          merge os news
+        end
+        else if c > 0 then begin
+          add_entry t n;
+          merge olds ns
+        end
+        else begin
+          if o != n then begin
+            remove_entry t o;
+            add_entry t n
+          end;
+          merge os ns
+        end
+  in
+  merge (range before) (range after)
+
 let build pager instance =
   let t =
     {
@@ -113,3 +174,6 @@ let count_dn_eq t a d =
   match Hashtbl.find_opt t.dn_exact a with
   | None -> 0
   | Some trie -> Str_trie.count_exact trie (Dn.rev_key d)
+
+let check_invariants t =
+  Hashtbl.iter (fun _ bt -> Btree.check_invariants bt) t.ints

@@ -10,6 +10,14 @@ type t
 
 val build : Pager.t -> Instance.t -> t
 
+val apply_update :
+  t -> before:Instance.t -> after:Instance.t -> Directory.update -> unit
+(** Maintain an index built over [before] so it indexes [after], given
+    that the two instances differ only within the update's key range
+    (the entry at its dn, or its whole subtree).  Entries are diffed by
+    key and physical equality, so index work is proportional to the
+    entries that really changed; the walk itself is O(range). *)
+
 val lookup_int_range : t -> string -> lo:int -> hi:int -> Entry.t list option
 (** Entries with an int value of the attribute in [lo, hi];
     [Some []] when the attribute has no int values anywhere. *)
@@ -36,3 +44,6 @@ val count_substring : t -> string -> string -> int
     once per occurrence ({!lookup_substring} dedups on collection). *)
 
 val count_dn_eq : t -> string -> Value.dn -> int
+
+val check_invariants : t -> unit
+(** Assert every B-tree's {!Btree.check_invariants} (used by tests). *)

@@ -186,6 +186,50 @@ let insert t k v =
           };
       charge_write t
 
+(* --- Removal ------------------------------------------------------------ *)
+
+(* Drop the first posting of [k] physically equal to [v]; returns whether
+   one was found, so the subtree totals on the way back up stay exact.  A
+   key whose last posting goes is deleted from its leaf.  Leaves may
+   underflow (even to empty) without merging: separators stay valid
+   bounds, and {!range} walks past empty leaves. *)
+let rec remove_node t node k v =
+  charge_read t;
+  match node with
+  | Leaf leaf ->
+      let pos = lower_bound leaf.lkeys leaf.lcount k in
+      if pos = leaf.lcount || leaf.lkeys.(pos) <> k then false
+      else begin
+        let rec drop = function
+          | [] -> raise Not_found
+          | x :: rest -> if x == v then rest else x :: drop rest
+        in
+        match drop leaf.lvals.(pos) with
+        | exception Not_found -> false
+        | [] ->
+            let tail = leaf.lcount - pos - 1 in
+            Array.blit leaf.lkeys (pos + 1) leaf.lkeys pos tail;
+            Array.blit leaf.lvals (pos + 1) leaf.lvals pos tail;
+            leaf.lcount <- leaf.lcount - 1;
+            leaf.lvals.(leaf.lcount) <- [];
+            leaf.ltotal <- leaf.ltotal - 1;
+            charge_write t;
+            true
+        | rest ->
+            leaf.lvals.(pos) <- rest;
+            leaf.ltotal <- leaf.ltotal - 1;
+            charge_write t;
+            true
+      end
+  | Internal inode ->
+      let ci = child_index inode.ikeys inode.icount k in
+      let removed = remove_node t inode.children.(ci) k v in
+      if removed then inode.itotal <- inode.itotal - 1;
+      removed
+
+let remove t k v =
+  if remove_node t t.root k v then t.cardinal <- t.cardinal - 1
+
 (* --- Lookup ----------------------------------------------------------- *)
 
 let rec find_leaf t node k =
@@ -216,9 +260,10 @@ let range t ~lo ~hi =
         acc := (leaf.lkeys.(!stop), List.rev leaf.lvals.(!stop)) :: !acc;
         incr stop
       done;
+      (* deletions may leave empty leaves in the chain: walk past them *)
       if !stop = leaf.lcount then
         match leaf.next with
-        | Some nxt when nxt.lcount > 0 && nxt.lkeys.(0) <= hi ->
+        | Some nxt when nxt.lcount = 0 || nxt.lkeys.(0) <= hi ->
             charge_read t;
             walk nxt
         | Some _ | None -> ()
@@ -306,4 +351,6 @@ let rec check_node node ~lo ~hi ~depth =
       | [] -> ());
       List.hd depths
 
-let check_invariants t = ignore (check_node t.root ~lo:None ~hi:None ~depth:0)
+let check_invariants t =
+  ignore (check_node t.root ~lo:None ~hi:None ~depth:0);
+  assert (t.cardinal = node_total t.root)

@@ -13,9 +13,15 @@ val create : ?order:int -> Pager.t -> 'a t
     order 16).  @raise Invalid_argument if [order < 2]. *)
 
 val cardinal : 'a t -> int
-(** Total postings inserted. *)
+(** Total postings held. *)
 
 val insert : 'a t -> int -> 'a -> unit
+
+val remove : 'a t -> int -> 'a -> unit
+(** Remove one posting of the key physically equal ([==]) to the value
+    (no-op if there is none), keeping {!cardinal} and the subtree totals
+    exact.  A key whose last posting goes is deleted; leaves may
+    underflow without merging. *)
 
 val find : 'a t -> int -> 'a list
 (** Postings of one key, in insertion order ([[]] if absent). *)
@@ -32,4 +38,5 @@ val fold_all : ('acc -> int -> 'a list -> 'acc) -> 'acc -> 'a t -> 'acc
 (** Fold over all keys in order (unaccounted; used by tests). *)
 
 val check_invariants : 'a t -> unit
-(** Assert key ordering, separator bounds and uniform depth. *)
+(** Assert key ordering, separator bounds, uniform depth and exact
+    subtree totals (leaf fill is not checked). *)

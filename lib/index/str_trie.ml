@@ -41,6 +41,51 @@ let add t s payload =
   t.size <- t.size + 1;
   charge_write t
 
+(* Drop the first payload of [s] physically equal to [payload]; returns
+   whether one was found.  Counters along the path drop by one, and a
+   child whose count reaches 0 is pruned, so churned strings leave no
+   dead nodes behind. *)
+let remove_found t s payload =
+  let rec walk node i =
+    let found =
+      if i = String.length s then begin
+        let rec drop = function
+          | [] -> raise Not_found
+          | p :: rest -> if p == payload then rest else p :: drop rest
+        in
+        match drop node.terminal with
+        | rest ->
+            node.terminal <- rest;
+            true
+        | exception Not_found -> false
+      end
+      else
+        let c = s.[i] in
+        match Hashtbl.find_opt node.children c with
+        | None -> false
+        | Some child ->
+            let found = walk child (i + 1) in
+            if found && child.subtree_count = 0 then
+              Hashtbl.remove node.children c;
+            found
+    in
+    if found then node.subtree_count <- node.subtree_count - 1;
+    found
+  in
+  let found = walk t.root 0 in
+  if found then begin
+    t.size <- t.size - 1;
+    charge_write t
+  end;
+  found
+
+let remove t s payload = ignore (remove_found t s payload)
+
+(* Trie nodes, root included (unaccounted; used by tests). *)
+let node_count t =
+  let rec go node = Hashtbl.fold (fun _ child n -> n + go child) node.children 1 in
+  go t.root
+
 (* Locate the node reached by walking [s]; charges one read per step. *)
 let descend t s =
   let rec walk node i =
@@ -100,6 +145,16 @@ module Substr = struct
     (* Also index the empty suffix so [*] style scans see the string. *)
     add t.trie "" payload;
     t.count <- t.count + 1
+
+  (* The inverse of [add]: every suffix loses one occurrence of the
+     payload; the string count drops only if it was indexed. *)
+  let remove t s payload =
+    for i = 0 to String.length s - 1 do
+      remove t.trie (String.sub s i (String.length s - i)) payload
+    done;
+    if remove_found t.trie "" payload then t.count <- t.count - 1
+
+  let node_count t = node_count t.trie
 
   let find_substring t sub =
     let hits = find_prefix t.trie sub in

@@ -7,10 +7,18 @@ type 'a t
 val create : Pager.t -> 'a t
 
 val size : 'a t -> int
-(** Strings inserted. *)
+(** Strings held. *)
 
 val add : 'a t -> string -> 'a -> unit
 (** Insert one string with a payload. *)
+
+val remove : 'a t -> string -> 'a -> unit
+(** Remove one payload of the string physically equal ([==]) to the
+    given one (no-op if there is none).  Subtree counters stay exact,
+    and nodes left with no payload below them are pruned. *)
+
+val node_count : 'a t -> int
+(** Trie nodes, root included (unaccounted; used by tests). *)
 
 val find_exact : 'a t -> string -> 'a list
 (** Payloads of exactly this string, in insertion order. *)
@@ -35,6 +43,12 @@ module Substr : sig
 
   val create : Pager.t -> 'a t
   val add : 'a t -> string -> 'a -> unit
+
+  val remove : 'a t -> string -> 'a -> unit
+  (** The inverse of {!add}: one occurrence of the payload leaves every
+      suffix of the string, by [==]. *)
+
+  val node_count : 'a t -> int
   val find_substring : 'a t -> string -> 'a list
   val count : 'a t -> int
 

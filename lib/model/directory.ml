@@ -17,8 +17,12 @@ type update = { dn : Dn.t; subtree : bool }
 type t = {
   mutable instance : Instance.t;
   mutable generation : int;
-  mutable hooks : (update -> unit) list;
+  mutable hooks : hook list;
 }
+
+(* A boxed hook, so unsubscribing removes exactly this registration even
+   if the same closure was registered twice. *)
+and hook = { notify : update -> unit }
 
 type error =
   | Invalid of Instance.violation
@@ -45,12 +49,17 @@ let generation t = t.generation
 (* bumped on every successful mutation; engines use it to know when
    their indexes are stale *)
 
-let on_update t f = t.hooks <- t.hooks @ [ f ]
+let on_update t f =
+  let h = { notify = f } in
+  t.hooks <- t.hooks @ [ h ];
+  fun () -> t.hooks <- List.filter (fun h' -> h' != h) t.hooks
+
+let notify t u = List.iter (fun h -> h.notify u) t.hooks
 
 let commit t instance updates =
   t.instance <- instance;
   t.generation <- t.generation + 1;
-  List.iter (fun f -> List.iter f updates) t.hooks;
+  List.iter (notify t) updates;
   Ok ()
 
 (* --- Add ----------------------------------------------------------------- *)
@@ -238,7 +247,7 @@ let batch t (ops : (t -> (unit, error) result) list) =
             t.generation <- saved_gen;
             (* the successful prefix already notified; the rollback
                reverses it, so re-notify conservatively for everything *)
-            List.iter (fun f -> f { dn = Dn.root; subtree = true }) t.hooks;
+            notify t { dn = Dn.root; subtree = true };
             Error e)
   in
   run ops

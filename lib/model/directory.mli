@@ -33,12 +33,15 @@ type update = { dn : Dn.t; subtree : bool }
     when [subtree] the whole subtree below it may have (subtree
     deletion, rename). *)
 
-val on_update : t -> (update -> unit) -> unit
+val on_update : t -> (update -> unit) -> unit -> unit
 (** Register a hook called after every successful mutation, in
     registration order (result caches use this for footprint-precise
-    invalidation).  [modify_dn] notifies both the old and the new
-    subtree roots; a rolled-back {!batch} notifies for its successful
-    prefix and then conservatively for the whole namespace. *)
+    invalidation, engines for index maintenance).  [modify_dn] notifies
+    both the old and the new subtree roots; a rolled-back {!batch}
+    notifies for its successful prefix and then conservatively for the
+    whole namespace.  Returns the function that unsubscribes the hook
+    (idempotent), so a discarded subscriber stops receiving updates and
+    is no longer reachable from the directory. *)
 
 val add : ?as_root:bool -> t -> Entry.t -> (unit, error) result
 (** Insert a new entry; its parent must exist unless [as_root]. *)

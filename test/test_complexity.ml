@@ -332,6 +332,47 @@ let test_engine_scaling_linear () =
     true
     (io2 <= (5 * io1 / 2) + 16)
 
+(* --- Index maintenance: O(changed), not O(n) ----------------------------- *)
+
+(* Page writes charged to bring the attribute indexes up to date after
+   one Directory.modify (from the update its hook reports), and to build
+   them from scratch, over a karily instance of [size] entries.  The
+   modified entry has the same attributes at every size. *)
+let maintenance_and_build_writes size =
+  let d = Directory.create (Dif_gen.karily ~fanout:4 ~size ()) in
+  let stats, pager = with_pager () in
+  let before = Directory.instance d in
+  let idx = Attr_index.build pager before in
+  let build = stats.Io_stats.page_writes in
+  let updates = ref [] in
+  let unsubscribe = Directory.on_update d (fun u -> updates := u :: !updates) in
+  let target = Dn.of_string "id=17, id=4, dc=kroot" in
+  (match
+     Directory.modify d target [ Directory.Replace ("priority", [ Value.Int 5 ]) ]
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "modify: %a" Directory.pp_error e);
+  unsubscribe ();
+  Io_stats.reset stats;
+  let after = Directory.instance d in
+  List.iter (Attr_index.apply_update idx ~before ~after) !updates;
+  (stats.Io_stats.page_writes, build)
+
+let test_index_maintenance_constant () =
+  let m1, b1 = maintenance_and_build_writes 500
+  and m2, b2 = maintenance_and_build_writes 4_000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "maintenance charged (%d writes)" m1)
+    true (m1 > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "maintenance O(1) in n: %d writes at 500, %d at 4000" m1 m2)
+    true
+    (abs (m2 - m1) <= 2);
+  Alcotest.(check bool)
+    (Printf.sprintf "bulk build linear: %d writes at 500, %d at 4000" b1 b2)
+    true
+    (6 * b1 <= b2 && b2 <= 10 * b1)
+
 (* Outputs of every operator stay sorted end to end (Section 8.2's
    no-resorting invariant, experiment E15). *)
 let prop_pipeline_sorted (instance, q) =
@@ -361,6 +402,9 @@ let () =
           Alcotest.test_case "structural agg linear" `Slow test_hs_agg_linear;
         ] );
       ("theorem-7.1", [ Alcotest.test_case "er nlogn bound" `Slow test_er_bound ]);
+      ( "index-maintenance",
+        [ Alcotest.test_case "delta writes constant, build linear" `Quick
+            test_index_maintenance_constant ] );
       ( "baselines",
         [ Alcotest.test_case "naive quadratic + crossover" `Slow
             test_naive_quadratic ] );

@@ -68,6 +68,68 @@ let test_btree_io_logarithmic () =
   Alcotest.(check bool) "point lookup reads < 8 pages" true
     (stats.Io_stats.page_reads < 8)
 
+(* Removing every posting of a run of keys empties whole leaves (order 2
+   holds at most 4 keys per leaf); a range across them must walk past the
+   empty leaves, and the probes and totals must stay exact. *)
+let test_btree_remove_empties_leaf () =
+  let _, pager = fresh () in
+  let bt = Btree.create ~order:2 pager in
+  let vals = Array.init 40 (fun k -> ref k) in
+  Array.iteri (fun k v -> Btree.insert bt k v) vals;
+  for k = 10 to 19 do
+    Btree.remove bt k vals.(k)
+  done;
+  Btree.remove bt 25 (ref 25);
+  Btree.check_invariants bt;
+  Alcotest.(check int) "cardinal" 30 (Btree.cardinal bt);
+  Alcotest.(check (list int)) "find removed" []
+    (List.map ( ! ) (Btree.find bt 12));
+  Alcotest.(check (list int)) "not removed by an equal copy" [ 25 ]
+    (List.map ( ! ) (Btree.find bt 25));
+  let keys = List.map fst (Btree.range bt ~lo:5 ~hi:25) in
+  Alcotest.(check (list int)) "range across emptied leaves"
+    [ 5; 6; 7; 8; 9; 20; 21; 22; 23; 24; 25 ]
+    keys;
+  Alcotest.(check int) "count_range = range" 11
+    (Btree.count_range bt ~lo:5 ~hi:25);
+  Alcotest.(check int) "empty run" 0 (Btree.count_range bt ~lo:10 ~hi:19);
+  Alcotest.(check int) "range after the run" 3
+    (List.length (Btree.range bt ~lo:18 ~hi:22))
+
+(* Random inserts, then removal of a random subset of the postings by
+   identity: the tree must equal the map of what is left. *)
+let prop_btree_remove_vs_map kvs =
+  let _, pager = fresh () in
+  let bt = Btree.create ~order:2 pager in
+  let postings = List.mapi (fun i (k, v) -> (i, k, ref v)) kvs in
+  List.iter (fun (_, k, v) -> Btree.insert bt k v) postings;
+  let kept, gone =
+    List.partition (fun (i, k, _) -> (i + k) mod 3 <> 0) postings
+  in
+  List.iter (fun (_, k, v) -> Btree.remove bt k v) gone;
+  Btree.check_invariants bt;
+  let model =
+    List.fold_left
+      (fun m (_, k, v) ->
+        Imap.update k (function None -> Some [ v ] | Some vs -> Some (vs @ [ v ])) m)
+      Imap.empty kept
+  in
+  let same a b = List.length a = List.length b && List.for_all2 ( == ) a b in
+  Btree.cardinal bt = List.length kept
+  && Imap.for_all (fun k vs -> same (Btree.find bt k) vs) model
+  && List.for_all
+       (fun (lo, hi) ->
+         let got = Btree.range bt ~lo ~hi in
+         let expect =
+           Imap.bindings model |> List.filter (fun (k, _) -> lo <= k && k <= hi)
+         in
+         List.length got = List.length expect
+         && List.for_all2
+              (fun (k, vs) (k', vs') -> k = k' && same vs vs')
+              got expect
+         && Btree.count_range bt ~lo ~hi = List.length (List.concat_map snd got))
+       [ (0, 200); (50, 60); (100, 100); (-5, 500); (min_int, max_int) ]
+
 (* --- Tries ------------------------------------------------------------------- *)
 
 let words =
@@ -114,6 +176,69 @@ let prop_substr_index strs =
       in
       got = expect)
     [ "a"; "ab"; "abc"; "cc"; "" ]
+
+(* Removal keeps the trie identical to one built from what is left:
+   the same exact/prefix/substring counts and lookups, and — with
+   emptied branches pruned — the same node count. *)
+let prop_trie_remove_vs_fresh strs =
+  let _, pager = fresh () in
+  let payloads = List.mapi (fun i s -> (i, s, ref i)) strs in
+  let trie = Str_trie.create pager and sub = Str_trie.Substr.create pager in
+  List.iter
+    (fun (_, s, p) ->
+      Str_trie.add trie s p;
+      Str_trie.Substr.add sub s p)
+    payloads;
+  let kept, gone = List.partition (fun (i, _, _) -> i mod 2 = 0) payloads in
+  List.iter
+    (fun (_, s, p) ->
+      Str_trie.remove trie s p;
+      Str_trie.Substr.remove sub s p)
+    gone;
+  let trie' = Str_trie.create pager and sub' = Str_trie.Substr.create pager in
+  List.iter
+    (fun (_, s, p) ->
+      Str_trie.add trie' s p;
+      Str_trie.Substr.add sub' s p)
+    kept;
+  let ids l = List.sort Int.compare (List.map ( ! ) l) in
+  Str_trie.size trie = Str_trie.size trie'
+  && Str_trie.Substr.count sub = Str_trie.Substr.count sub'
+  && Str_trie.node_count trie = Str_trie.node_count trie'
+  && Str_trie.Substr.node_count sub = Str_trie.Substr.node_count sub'
+  && List.for_all
+       (fun p ->
+         Str_trie.count_exact trie p = Str_trie.count_exact trie' p
+         && Str_trie.count_prefix trie p = Str_trie.count_prefix trie' p
+         && Str_trie.Substr.count_substring sub p
+            = Str_trie.Substr.count_substring sub' p
+         && ids (Str_trie.find_prefix trie p) = ids (Str_trie.find_prefix trie' p)
+         && ids (Str_trie.Substr.find_substring sub p)
+            = ids (Str_trie.Substr.find_substring sub' p))
+       ("" :: "a" :: "ab" :: "cc" :: "abc" :: strs)
+
+let test_trie_remove_restores_nodes () =
+  let _, pager = fresh () in
+  let trie = Str_trie.create pager and sub = Str_trie.Substr.create pager in
+  List.iteri
+    (fun i w ->
+      Str_trie.add trie w i;
+      Str_trie.Substr.add sub w i)
+    words;
+  let n = Str_trie.node_count trie and n_sub = Str_trie.Substr.node_count sub in
+  Str_trie.add trie "jagadishx" 99;
+  Str_trie.Substr.add sub "zyzzyva" 99;
+  Alcotest.(check bool) "grew" true
+    (Str_trie.node_count trie > n && Str_trie.Substr.node_count sub > n_sub);
+  Str_trie.remove trie "jagadishx" 99;
+  Str_trie.Substr.remove sub "zyzzyva" 99;
+  Alcotest.(check int) "trie nodes restored" n (Str_trie.node_count trie);
+  Alcotest.(check int) "suffix-trie nodes restored" n_sub
+    (Str_trie.Substr.node_count sub);
+  Alcotest.(check int) "prefix count exact" 2 (Str_trie.count_prefix trie "jag");
+  Alcotest.(check int) "removing an absent payload is a no-op" 8
+    (Str_trie.remove trie "jag" 42;
+     Str_trie.size trie)
 
 (* --- Dn_index ------------------------------------------------------------------ *)
 
@@ -285,12 +410,20 @@ let () =
           Testkit.qtest ~count:100 "fold in key order" gen_kvs prop_btree_fold;
           Alcotest.test_case "lookup io logarithmic" `Quick
             test_btree_io_logarithmic;
+          Alcotest.test_case "remove empties leaves" `Quick
+            test_btree_remove_empties_leaf;
+          Testkit.qtest ~count:200 "remove vs map oracle" gen_kvs
+            prop_btree_remove_vs_map;
         ] );
       ( "trie",
         [
           Alcotest.test_case "exact and prefix" `Quick test_trie_exact_prefix;
           Testkit.qtest ~count:200 "substring index vs naive" gen_strings
             prop_substr_index;
+          Testkit.qtest ~count:200 "remove = fresh build" gen_strings
+            prop_trie_remove_vs_fresh;
+          Alcotest.test_case "remove restores nodes" `Quick
+            test_trie_remove_restores_nodes;
         ] );
       ( "dn-index",
         [

@@ -63,6 +63,13 @@ let test_differential_concurrency () =
       | (k, text) :: _ ->
           Alcotest.failf "%d replies diverged from the oracle; first: #%d %s"
             (List.length !failures) k text);
+      (* a session thread leaves the table when it reads the client's
+         close, which can land just after the client returns: give the
+         threads a bounded moment to exit *)
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      while Srv.session_count srv > 0 && Unix.gettimeofday () < deadline do
+        Thread.delay 0.01
+      done;
       Alcotest.(check int) "no sessions linger" 0 (Srv.session_count srv))
 
 (* The HTTP face: index, liveness, query streaming (GET and POST),
