@@ -5,7 +5,8 @@
    Options:
      --rate R        arrivals per second                (default 200)
      --duration S    seconds of load                    (default 5)
-     --clients N     persistent line-protocol conns     (default 8)
+     --clients N     persistent line-protocol conns     (default 8);
+                     also the cap on requests in flight
      --port P        attach to a running server (else one is spawned
                      in-process over a fresh synthetic instance)
      --workers N     spawned server's worker pool       (default 4)
@@ -28,7 +29,11 @@
    (no coordinated omission).  Arrivals are dealt round-robin to the
    client connections; each connection pipelines strictly, so a slow
    response delays that connection's later arrivals and the measured
-   latency absorbs the delay, as it should.
+   latency absorbs the delay, as it should.  It also caps the requests
+   in flight at --clients: no more than N are ever outstanding, so the
+   server's admission queue can never hold more than N either, and a
+   shed run needs more clients than workers plus queue slots.  Each run
+   records the cap as "inflight_cap".
 
    The run reports sustained QPS (completions over the measured span),
    exact p50/p95/p99/max latencies over completed requests, counts per
@@ -370,6 +375,7 @@ let () =
               ("p99_us", Json.Num (float_of_int (us p99)));
               ("max_us", Json.Num (float_of_int (us maxl)));
               ("max_queue_depth", Json.Num (float_of_int !max_depth));
+              ("inflight_cap", Json.Num (float_of_int !clients));
             ] );
       ]
       @ tsdb_fields)
@@ -390,9 +396,9 @@ let () =
         (Json.to_string (Json.Obj [ ("runs", Json.Arr runs) ]) ^ "\n"));
   Printf.printf
     "%s: sent=%d ok=%d busy=%d deadline=%d error=%d lost=%d qps=%.1f \
-     p50=%dus p95=%dus p99=%dus max_queue_depth=%d -> %s\n"
+     p50=%dus p95=%dus p99=%dus max_queue_depth=%d inflight_cap=%d -> %s\n"
     !label total ok busy deadline error lost qps (us p50) (us p95) (us p99)
-    !max_depth !out;
+    !max_depth !clients !out;
   (match recorder with
   | Some ts ->
       Printf.printf

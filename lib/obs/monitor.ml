@@ -393,37 +393,22 @@ let handle t target =
       (Printf.sprintf "handler error: %s\n" (Printexc.to_string e))
 
 let read_request fd =
-  (* Read until the blank line ending the header block (we never expect
-     bodies), bounded so a misbehaving client can't grow the buffer. *)
-  let b = Buffer.create 256 in
-  let chunk = Bytes.create 1024 in
-  let rec fill () =
-    if Buffer.length b < 16_384 then begin
-      let n = Unix.read fd chunk 0 (Bytes.length chunk) in
-      if n > 0 then begin
-        Buffer.add_subbytes b chunk 0 n;
-        let text = Buffer.contents b in
-        let done_ =
-          (* header terminator seen? *)
-          let rec scan i =
-            i + 3 < String.length text
-            && ((text.[i] = '\r' && text.[i + 1] = '\n' && text.[i + 2] = '\r'
-                 && text.[i + 3] = '\n')
-               || scan (i + 1))
-          in
-          scan 0
-        in
-        if not done_ then fill ()
-      end
-    end
+  (* The request line, then the header block drained to its blank line
+     (we never expect bodies) so that closing after the response does
+     not reset the connection; bounded so a misbehaving client can't
+     keep us reading. *)
+  let r = Sockio.reader fd in
+  let rec drain budget =
+    if budget > 0 then
+      match Sockio.read_line r with
+      | None | Some "" -> ()
+      | Some line -> drain (budget - String.length line - 2)
   in
-  (try fill () with Unix.Unix_error _ -> ());
-  let text = Buffer.contents b in
-  match String.index_opt text '\n' with
+  match Sockio.read_line r with
   | None -> None
-  | Some i -> (
-      let line = String.trim (String.sub text 0 i) in
-      match String.split_on_char ' ' line with
+  | Some line -> (
+      drain 16_384;
+      match String.split_on_char ' ' (String.trim line) with
       | meth :: target :: _ when meth <> "" -> Some (meth, target)
       | _ -> None)
 
@@ -449,14 +434,7 @@ let write_response fd ~head_only { status; content_type; body } =
   let head =
     http_head ~content_type ~content_length:(String.length body) status
   in
-  let payload = if head_only then head else head ^ body in
-  let bytes = Bytes.of_string payload in
-  let rec write_all off =
-    if off < Bytes.length bytes then
-      let n = Unix.write fd bytes off (Bytes.length bytes - off) in
-      if n > 0 then write_all (off + n)
-  in
-  try write_all 0 with Unix.Unix_error _ -> ()
+  ignore (Sockio.write_all fd (if head_only then head else head ^ body))
 
 let serve_client t fd =
   Fun.protect
@@ -504,6 +482,7 @@ let accept_loop t =
 (* --- Lifecycle ------------------------------------------------------------ *)
 
 let start ?(registry = Metrics.default) ?(client_timeout_s = 2.) ~port () =
+  Sockio.ignore_sigpipe ();
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
      Unix.setsockopt sock Unix.SO_REUSEADDR true;
@@ -583,8 +562,7 @@ let request ?(host = "127.0.0.1") ?(meth = "GET") ?body ~port path =
               "%s %s HTTP/1.1\r\nHost: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
               meth path host (String.length payload) payload
       in
-      let bytes = Bytes.of_string req in
-      ignore (Unix.write s bytes 0 (Bytes.length bytes));
+      ignore (Sockio.write_all s req);
       let b = Buffer.create 1024 in
       let chunk = Bytes.create 4096 in
       let rec drain () =

@@ -49,7 +49,8 @@ val start :
 (** Bind the loopback interface on [port] (0 picks a free port — see
     {!port}) and start serving.  [registry] defaults to
     {!Metrics.default}; [client_timeout_s] (default 2.0) sets each
-    connection's send/receive deadline.
+    connection's send/receive deadline.  [SIGPIPE] is ignored from here
+    on ({!Sockio.ignore_sigpipe}).
     @raise Unix.Unix_error when the port is taken. *)
 
 val port : t -> int

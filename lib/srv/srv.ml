@@ -16,9 +16,12 @@
    mid-stream stops after shipping partial results.
 
    Results ship as they are produced: evaluation uses the streaming
-   [Source] pipeline and flushes row batches to the socket while the
-   query is still running, so time-to-first-row is independent of
-   result size.
+   [Source] pipeline and flushes 64-row batches to the socket while
+   the query is still running, so time-to-first-row is independent of
+   result size.  The response head rides with the first batch and the
+   trailer with the last, so a reply of at most one batch is a single
+   write; accepted sockets set TCP_NODELAY, so no batch waits for the
+   client's delayed ACK.
 
    Instrumented end to end: srv_requests_total{route,status},
    srv_request_ns{route} (admission to completion — queue wait
@@ -128,86 +131,14 @@ let worker_loop t make_engine () =
 
 (* --- Socket plumbing ------------------------------------------------------ *)
 
-let write_all fd s =
-  let bytes = Bytes.of_string s in
-  let rec go off =
-    if off < Bytes.length bytes then
-      let n = Unix.write fd bytes off (Bytes.length bytes - off) in
-      if n > 0 then go (off + n)
-  in
-  try
-    go 0;
-    true
-  with Unix.Unix_error _ -> false
+(* Session reads poll: the socket's short receive timeout wakes the
+   reader every half second so a session blocked on an idle client
+   still notices [stopping] and exits promptly. *)
+let keep_waiting t () = not t.stopping
+let read_line t r = Sockio.read_line ~on_timeout:(keep_waiting t) r
 
-(* A buffered reader over a socket with a short receive timeout: reads
-   poll every half second so a session blocked on an idle client still
-   notices [stopping] and exits promptly. *)
-type reader = {
-  fd : Unix.file_descr;
-  buf : Buffer.t;
-  mutable eof : bool;
-}
-
-let reader fd = { fd; buf = Buffer.create 256; eof = false }
-
-let refill t r =
-  if r.eof then false
-  else begin
-    let chunk = Bytes.create 4096 in
-    match Unix.read r.fd chunk 0 (Bytes.length chunk) with
-    | 0 ->
-        r.eof <- true;
-        false
-    | n ->
-        Buffer.add_subbytes r.buf chunk 0 n;
-        true
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        (* receive timeout: poll the stop flag, stay open *)
-        not t.stopping
-    | exception Unix.Unix_error _ ->
-        r.eof <- true;
-        false
-  end
-
-(* One line, newline stripped (CR too); [None] at EOF/stop.  Bounded so
-   a misbehaving client cannot grow the buffer without limit. *)
-let read_line t r =
-  let rec go () =
-    let text = Buffer.contents r.buf in
-    match String.index_opt text '\n' with
-    | Some i ->
-        let line = String.sub text 0 i in
-        Buffer.clear r.buf;
-        Buffer.add_string r.buf
-          (String.sub text (i + 1) (String.length text - i - 1));
-        let line =
-          if line <> "" && line.[String.length line - 1] = '\r' then
-            String.sub line 0 (String.length line - 1)
-          else line
-        in
-        Some line
-    | None ->
-        if Buffer.length r.buf > 65_536 then None
-        else if refill t r then go ()
-        else None
-  in
-  go ()
-
-let read_exact t r n =
-  let rec go () =
-    if Buffer.length r.buf >= n then begin
-      let text = Buffer.contents r.buf in
-      let body = String.sub text 0 n in
-      Buffer.clear r.buf;
-      Buffer.add_string r.buf (String.sub text n (String.length text - n));
-      Some body
-    end
-    else if n > 1_048_576 then None
-    else if refill t r then go ()
-    else None
-  in
-  go ()
+(* The largest request body (POST /query) a session reads. *)
+let max_body = 1_048_576
 
 (* --- Request text --------------------------------------------------------- *)
 
@@ -248,13 +179,19 @@ let tail_outcome = function
   | S_busy -> `Shed
   | S_error _ -> `Error
 
-(* Evaluate one query on a worker's engine, streaming rows to [emit]
-   in batches, checking the deadline between batches.  Returns the
-   final status, the rows shipped, the wall time and the trace id.
+(* Rows per streamed batch. *)
+let batch_rows = 64
+
+(* Evaluate one query on a worker's engine, appending rows to [out] and
+   calling [flush] to ship each full batch of [batch_rows] once the
+   next row exists — so a reply of at most one batch is left whole in
+   [out] for the caller to send with its trailer.  The deadline is
+   checked before every row.  Returns the final status, the rows
+   produced, the wall time and the trace id.
    Every request runs force-traced — the completed span tree goes to
    the tail sampler, which decides whether it is worth keeping — and
    journals a Qlog event when the journal is open. *)
-let execute engine ~query_text ~deadline_ns ~emit =
+let execute engine ~query_text ~deadline_ns ~out ~flush =
   let journal = Qlog.enabled () in
   let tid = Trace.next_trace_id () in
   let stats = Engine.stats engine in
@@ -277,14 +214,7 @@ let execute engine ~query_text ~deadline_ns ~emit =
           | exception Qparser.Parse_error msg -> `Parse msg
           | ast ->
               let src = Engine.eval_node_src engine ast in
-              let batch = Buffer.create 4096 in
               let status = ref S_ok in
-              let flush () =
-                if Buffer.length batch > 0 then begin
-                  if not (emit (Buffer.contents batch)) then raise Exit;
-                  Buffer.clear batch
-                end
-              in
               (try
                  let rec pump n =
                    if Mclock.now_ns () > deadline_ns then status := S_deadline
@@ -292,17 +222,17 @@ let execute engine ~query_text ~deadline_ns ~emit =
                      match Ext_list.Source.next src with
                      | None -> ()
                      | Some e ->
-                         Buffer.add_string batch (Dn.to_string (Entry.dn e));
-                         Buffer.add_char batch '\n';
+                         let n =
+                           if n < batch_rows then n
+                           else if flush () then 0
+                           else raise Exit
+                         in
+                         Buffer.add_string out (Dn.to_string (Entry.dn e));
+                         Buffer.add_char out '\n';
                          incr rows;
-                         if n >= 63 then begin
-                           flush ();
-                           pump 0
-                         end
-                         else pump (n + 1)
+                         pump (n + 1)
                  in
-                 pump 0;
-                 flush ()
+                 pump 0
                with Exit -> ());
               Trace.set_rows !rows;
               `Ran (ast, !status))
@@ -382,29 +312,33 @@ let serve_query t fd ~route ~write_head ~deadline_ns query_text =
       let sp = synthetic_span ~name:"queue-deadline" ~detail:query_text ~wall_ns:wall in
       ignore (Tail.consider ~origin:"srv" ~outcome:`Deadline ~wall_ns:wall sp);
       ignore
-        (write_all fd
+        (Sockio.write_all fd
            (write_head S_deadline ^ trailer S_deadline ~rows:0 ~wall_ns:wall));
       observe ~trace_id:sp.Trace.trace_id t ~route
         ~status:(http_code S_deadline) ~ns:wall
     end
     else begin
-      let head_sent = ref false in
-      let emit s =
-        if not !head_sent then begin
-          head_sent := true;
-          if not (write_all fd (write_head S_ok)) then raise Exit
-        end;
-        write_all fd s
+      (* The head is staged ahead of the rows: it leaves with the first
+         batch, and a reply of at most one batch (head, rows, trailer)
+         is a single write. *)
+      let out = Buffer.create 1024 in
+      Buffer.add_string out (write_head S_ok);
+      let flush () =
+        let ok = Sockio.write_all fd (Buffer.contents out) in
+        Buffer.clear out;
+        ok
       in
       let status, rows, _exec_ns, tid =
-        execute engine ~query_text ~deadline_ns:absolute_deadline ~emit
+        execute engine ~query_text ~deadline_ns:absolute_deadline ~out ~flush
       in
       let wall = Mclock.now_ns () - submitted in
-      let tail = trailer status ~rows ~wall_ns:wall in
-      ignore
-        (write_all fd
-           (if !head_sent then tail
-            else write_head (if rows = 0 then status else S_ok) ^ tail));
+      if rows = 0 then begin
+        (* nothing was produced, so the head can carry the outcome *)
+        Buffer.clear out;
+        Buffer.add_string out (write_head status)
+      end;
+      Buffer.add_string out (trailer status ~rows ~wall_ns:wall);
+      ignore (Sockio.write_all fd (Buffer.contents out));
       observe ~trace_id:tid t ~route ~status:(http_code status) ~ns:wall
     end
   in
@@ -415,7 +349,8 @@ let serve_query t fd ~route ~write_head ~deadline_ns query_text =
       let sp = synthetic_span ~name:"shed" ~detail:query_text ~wall_ns:wall in
       ignore (Tail.consider ~origin:"srv" ~outcome:`Shed ~wall_ns:wall sp);
       ignore
-        (write_all fd (write_head S_busy ^ trailer S_busy ~rows:0 ~wall_ns:0));
+        (Sockio.write_all fd
+           (write_head S_busy ^ trailer S_busy ~rows:0 ~wall_ns:0));
       observe ~trace_id:sp.Trace.trace_id t ~route ~status:503 ~ns:wall
 
 (* --- The HTTP face --------------------------------------------------------- *)
@@ -488,8 +423,9 @@ let handle_http t fd r first_line =
       in
       headers ();
       let body =
-        if !content_length > 0 then
-          Option.value ~default:"" (read_exact t r !content_length)
+        if !content_length > 0 && !content_length <= max_body then
+          Option.value ~default:""
+            (Sockio.read_exact ~on_timeout:(keep_waiting t) r !content_length)
         else ""
       in
       let path, params = split_target target in
@@ -545,14 +481,14 @@ let handle_line_session t fd r first_line =
   let handle line =
     match String.trim line with
     | "" -> true
-    | "PING" -> write_all fd "PONG\n"
+    | "PING" -> Sockio.write_all fd "PONG\n"
     | "QUIT" | "BYE" -> false
     | line when String.length line > 9 && String.sub line 0 9 = "DEADLINE " -> (
         match int_of_string_opt (String.trim (String.sub line 9 (String.length line - 9))) with
         | Some ms when ms > 0 ->
             deadline := ms * 1_000_000;
-            write_all fd "OK\n"
-        | _ -> write_all fd "# status=error msg=\"bad DEADLINE\"\n")
+            Sockio.write_all fd "OK\n"
+        | _ -> Sockio.write_all fd "# status=error msg=\"bad DEADLINE\"\n")
     | query ->
         serve_query t fd ~route:"line" ~write_head:line_head
           ~deadline_ns:!deadline query;
@@ -584,9 +520,12 @@ let session t fd =
     (fun () ->
       (try
          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.5;
-         Unix.setsockopt_float fd Unix.SO_SNDTIMEO 5.
+         Unix.setsockopt_float fd Unix.SO_SNDTIMEO 5.;
+         (* Replies are written whole or in row batches; none should sit
+            behind Nagle waiting for the client's delayed ACK. *)
+         Unix.setsockopt fd Unix.TCP_NODELAY true
        with Unix.Unix_error _ -> ());
-      let r = reader fd in
+      let r = Sockio.reader fd in
       match read_line t r with
       | None -> ()
       | Some line ->
@@ -617,6 +556,7 @@ let start ?(registry = Metrics.default) ?(workers = 4) ?(queue = 64)
     ?(deadline_ms = 5_000) ?(port = 0) ~make_engine () =
   if workers < 1 then invalid_arg "Srv.start: workers must be positive";
   if queue < 1 then invalid_arg "Srv.start: queue must be positive";
+  Sockio.ignore_sigpipe ();
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
      Unix.setsockopt sock Unix.SO_REUSEADDR true;

@@ -30,6 +30,11 @@
     and one exceeding it mid-stream stops after the rows already
     shipped.
 
+    Transport: accepted sockets set [TCP_NODELAY].  Rows stream in
+    64-row batches; the head leaves with the first batch and the
+    trailer with the last, so a reply of at most 64 rows is one write.
+    Request lines longer than {!Sockio.max_line} end the session.
+
     Observability: [srv_requests_total{route,status}],
     [srv_request_ns{route}] (admission → completion, queue wait
     included), [srv_queue_depth], [srv_sessions] and [srv_shed_total]
@@ -53,7 +58,9 @@ val start :
     out engines sharing one immutable {!Instance}; [queue] (default
     64) bounds the admission queue; [deadline_ms] (default 5000) is
     the per-request budget; [port] 0 (the default) picks a free port —
-    see {!port}.
+    see {!port}.  [SIGPIPE] is ignored from here on
+    ({!Sockio.ignore_sigpipe}): a client hanging up mid-reply ends its
+    session, not the process.
     @raise Unix.Unix_error when the port is taken.
     @raise Invalid_argument when [workers] or [queue] is not positive. *)
 

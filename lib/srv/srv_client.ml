@@ -4,64 +4,36 @@
 
 exception Disconnected
 
-type t = { fd : Unix.file_descr; buf : Buffer.t; mutable eof : bool }
+type t = { fd : Unix.file_descr; r : Sockio.reader }
 
 type status = Ok | Deadline | Busy of int | Error of string
 
 type reply = { rows : string list; status : status; wall_us : int }
 
 let connect ?(host = "127.0.0.1") ?(timeout_s = 10.) ~port () =
+  Sockio.ignore_sigpipe ();
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
      Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout_s;
      Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout_s;
+     Unix.setsockopt fd Unix.TCP_NODELAY true;
      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
-  { fd; buf = Buffer.create 256; eof = false }
+  { fd; r = Sockio.reader fd }
 
 let close t =
-  (try
-     let line = Bytes.of_string "QUIT\n" in
-     ignore (Unix.write t.fd line 0 (Bytes.length line))
-   with Unix.Unix_error _ -> ());
+  ignore (Sockio.write_all t.fd "QUIT\n");
   try Unix.close t.fd with Unix.Unix_error _ -> ()
 
 let send t line =
-  let payload = Bytes.of_string (line ^ "\n") in
-  let rec go off =
-    if off < Bytes.length payload then
-      match Unix.write t.fd payload off (Bytes.length payload - off) with
-      | 0 -> raise Disconnected
-      | n -> go (off + n)
-      | exception Unix.Unix_error _ -> raise Disconnected
-  in
-  go 0
+  if not (Sockio.write_all t.fd (line ^ "\n")) then raise Disconnected
 
+(* Lines past the server's own bound, a timeout or a hang-up all end
+   the connection. *)
 let read_line t =
-  let chunk = Bytes.create 4096 in
-  let rec go () =
-    let text = Buffer.contents t.buf in
-    match String.index_opt text '\n' with
-    | Some i ->
-        let line = String.sub text 0 i in
-        Buffer.clear t.buf;
-        Buffer.add_string t.buf
-          (String.sub text (i + 1) (String.length text - i - 1));
-        line
-    | None -> (
-        if t.eof then raise Disconnected;
-        match Unix.read t.fd chunk 0 (Bytes.length chunk) with
-        | 0 ->
-            t.eof <- true;
-            raise Disconnected
-        | n ->
-            Buffer.add_subbytes t.buf chunk 0 n;
-            go ()
-        | exception Unix.Unix_error _ -> raise Disconnected)
-  in
-  go ()
+  match Sockio.read_line t.r with Some line -> line | None -> raise Disconnected
 
 (* `# status=ok rows=12 wall_us=345` etc.; msg is %S-quoted and last. *)
 let parse_trailer line =
@@ -104,7 +76,7 @@ let query t text =
   send t text;
   let rec collect rows =
     let line = read_line t in
-    if String.length line >= 2 && String.sub line 0 2 = "# " then
+    if String.starts_with ~prefix:"# " line then
       let status, wall_us = parse_trailer line in
       { rows = List.rev rows; status; wall_us }
     else collect (line :: rows)

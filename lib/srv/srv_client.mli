@@ -19,12 +19,15 @@ type reply = { rows : string list; status : status; wall_us : int }
 
 val connect : ?host:string -> ?timeout_s:float -> port:int -> unit -> t
 (** [host] defaults to loopback, [timeout_s] (default 10) bounds each
-    socket read/write.
+    socket read/write.  The socket sets [TCP_NODELAY], and [SIGPIPE] is
+    ignored ({!Sockio.ignore_sigpipe}) so a server hang-up surfaces as
+    {!Disconnected}.
     @raise Unix.Unix_error when nothing listens. *)
 
 val query : t -> string -> reply
 (** Send one query line, collect its rows (DNs) and trailer.
-    @raise Disconnected on connection loss. *)
+    @raise Disconnected on connection loss, a read timeout, or a line
+    longer than {!Sockio.max_line}. *)
 
 val ping : t -> bool
 val set_deadline_ms : t -> int -> bool

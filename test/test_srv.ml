@@ -17,6 +17,15 @@ let contains ~affix s =
   let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
   n = 0 || go 0
 
+let url_encode s =
+  String.concat ""
+    (List.map
+       (function
+         | ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.') as c ->
+             String.make 1 c
+         | c -> Printf.sprintf "%%%02X" (Char.code c))
+       (List.of_seq (String.to_seq s)))
+
 let with_srv ?registry ?workers ?queue ?deadline_ms instance f =
   let srv = start_srv ?registry ?workers ?queue ?deadline_ms instance in
   Fun.protect ~finally:(fun () -> Srv.stop srv) (fun () -> f srv)
@@ -89,19 +98,7 @@ let test_http_routes () =
       | Json.Num _ -> ()
       | _ -> Alcotest.fail "healthz carries queue_depth");
       let q = "( ? sub ? id=* )" in
-      let enc =
-        String.concat ""
-          (List.map
-             (fun c ->
-               match c with
-               | ' ' -> "%20"
-               | '?' -> "%3F"
-               | '=' -> "%3D"
-               | '*' -> "%2A"
-               | c -> String.make 1 c)
-             (List.of_seq (String.to_seq q)))
-      in
-      let status, headers, body = get ("/query?q=" ^ enc) in
+      let status, headers, body = get ("/query?q=" ^ url_encode q) in
       Alcotest.(check int) "GET /query status" 200 status;
       Alcotest.(check bool) "streamed (no Content-Length)" false
         (List.mem_assoc "content-length" headers);
@@ -207,6 +204,246 @@ let test_line_protocol_controls () =
         (reply.Srv_client.status = Srv_client.Ok);
       Srv_client.close conn)
 
+(* No reply may wait on the client's delayed ACK (a Nagle stall costs
+   ~40 ms a reply).  Over one idle connection, sequential queries
+   alternating a one-batch reply and a several-batch one must answer
+   with a median far below that; so must HTTP /query, one connection
+   per request. *)
+let test_no_transport_stall () =
+  let instance = mk_instance () in
+  let rows q = List.length (Testkit.oracle instance q) in
+  let small =
+    Qprinter.to_string
+      (List.find
+         (fun q -> rows q >= 1 && rows q <= 64)
+         (Array.to_list (Query_mix.generate_ast ~seed:3 ~count:200 instance)))
+  and large = "( ? sub ? id=* )" in
+  let n = 30 in
+  let median_ms f =
+    let walls =
+      Array.init n (fun i ->
+          let q = if i mod 2 = 0 then small else large in
+          let t0 = Unix.gettimeofday () in
+          f q;
+          (Unix.gettimeofday () -. t0) *. 1e3)
+    in
+    Array.sort compare walls;
+    walls.(n / 2)
+  in
+  with_srv instance (fun srv ->
+      let port = Srv.port srv in
+      let conn = Srv_client.connect ~port () in
+      let line_ms =
+        Fun.protect
+          ~finally:(fun () -> Srv_client.close conn)
+          (fun () ->
+            median_ms (fun q ->
+                let reply = Srv_client.query conn q in
+                if reply.Srv_client.status <> Srv_client.Ok
+                   || reply.Srv_client.rows = []
+                then Alcotest.failf "line query %s failed" q))
+      in
+      let http_ms =
+        median_ms (fun q ->
+            let status, _, body =
+              Monitor.request ~port ("/query?q=" ^ url_encode q)
+            in
+            if status <> 200 || not (contains ~affix:"# status=ok" body) then
+              Alcotest.failf "HTTP query %s failed: %d" q status)
+      in
+      if line_ms >= 10. || http_ms >= 10. then
+        Alcotest.failf "median reply %.2f ms (line), %.2f ms (HTTP): >= 10 ms"
+          line_ms http_ms)
+
+(* A byte stream with random lines (empty and multi-KiB ones, "\n" or
+   "\r\n" endings, an unterminated tail) written through a socketpair
+   in random-size chunks — splits inside a line and inside "\r\n"
+   included — must come out of the shared reader as exactly the lines
+   String.split_on_char cuts, each "\r\n" read as a line end. *)
+let test_reader_chunking () =
+  let rs = Random.State.make [| 13 |] in
+  let text len =
+    String.init len (fun _ -> Char.chr (32 + Random.State.int rs 95))
+  in
+  for _ = 1 to 30 do
+    let lines =
+      List.init (Random.State.int rs 120) (fun _ ->
+          match Random.State.int rs 10 with
+          | 0 -> text (Random.State.int rs 20_000)
+          | 1 -> ""
+          | _ -> text (Random.State.int rs 80))
+    in
+    let stream =
+      String.concat ""
+        (List.map
+           (fun l -> l ^ if Random.State.bool rs then "\r\n" else "\n")
+           lines)
+      ^ text (Random.State.int rs 3 * Random.State.int rs 50)
+    in
+    let expected =
+      match List.rev (String.split_on_char '\n' stream) with
+      | _tail :: rev_lines ->
+          List.rev_map
+            (fun l ->
+              if String.ends_with ~suffix:"\r" l then
+                String.sub l 0 (String.length l - 1)
+              else l)
+            rev_lines
+      | [] -> []
+    in
+    let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let writer =
+      Thread.create
+        (fun () ->
+          let len = String.length stream in
+          let rec go off =
+            if off < len then begin
+              let k =
+                min (len - off)
+                  (if Random.State.bool rs then 1 + Random.State.int rs 3
+                   else 1 + Random.State.int rs 5_000)
+              in
+              ignore (Sockio.write_all a (String.sub stream off k));
+              (* let the reader see a boundary inside "\r\n" *)
+              if stream.[off + k - 1] = '\r' || Random.State.int rs 8 = 0
+              then Thread.delay 0.0005;
+              go (off + k)
+            end
+          in
+          go 0;
+          Unix.close a)
+        ()
+    in
+    let r = Sockio.reader b in
+    let rec drain acc =
+      match Sockio.read_line r with
+      | Some l -> drain (l :: acc)
+      | None -> List.rev acc
+    in
+    let got = drain [] in
+    Thread.join writer;
+    Unix.close b;
+    Alcotest.(check (list string)) "lines" expected got
+  done
+
+(* The line bound: a line of exactly [Sockio.max_line] bytes is read, one
+   byte more ends the stream for good. *)
+let test_reader_bound () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let fits = String.make Sockio.max_line 'a'
+  and over = String.make (Sockio.max_line + 1) 'b' in
+  let writer =
+    Thread.create
+      (fun () ->
+        ignore (Sockio.write_all a (fits ^ "\n" ^ over ^ "\nafter\n"));
+        Unix.close a)
+      ()
+  in
+  let r = Sockio.reader b in
+  Alcotest.(check (option string)) "line at the bound" (Some fits)
+    (Sockio.read_line r);
+  Alcotest.(check (option string)) "line past the bound" None
+    (Sockio.read_line r);
+  Alcotest.(check (option string)) "stream stays ended" None
+    (Sockio.read_line r);
+  Unix.close b;
+  Thread.join writer
+
+(* An over-long request line ends that session (the server closes the
+   connection) and nothing else: the server keeps serving. *)
+let test_server_line_bound () =
+  let instance = mk_instance ~size:50 () in
+  with_srv instance (fun srv ->
+      let port = Srv.port srv in
+      let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close s)
+        (fun () ->
+          Unix.setsockopt_float s Unix.SO_RCVTIMEO 5.;
+          Unix.connect s (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+          let writer =
+            Thread.create
+              (fun () ->
+                ignore
+                  (Sockio.write_all s
+                     (String.make (Sockio.max_line + 10_000) 'x' ^ "\n")))
+              ()
+          in
+          let buf = Bytes.create 4096 in
+          let ended =
+            match Unix.read s buf 0 (Bytes.length buf) with
+            | 0 -> true
+            | _ -> false
+            | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true
+            | exception Unix.Unix_error _ -> false
+          in
+          Thread.join writer;
+          Alcotest.(check bool) "session closed" true ended);
+      let conn = Srv_client.connect ~port () in
+      Fun.protect
+        ~finally:(fun () -> Srv_client.close conn)
+        (fun () ->
+          Alcotest.(check bool) "server still serves" true
+            (Srv_client.ping conn)))
+
+(* A client hanging up mid-reply ends its session with EPIPE; the
+   server process survives (SIGPIPE would kill it) and keeps serving. *)
+let test_client_hangup () =
+  let instance = mk_instance ~size:3000 ~seed:5 () in
+  (* earlier clients in this process already ignore SIGPIPE: make the
+     server establish it itself *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_default;
+  with_srv instance (fun srv ->
+      let port = Srv.port srv in
+      for _ = 1 to 3 do
+        let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.connect s (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+        ignore (Sockio.write_all s "( ? sub ? id=* )\n");
+        Unix.close s
+      done;
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      while Srv.session_count srv > 0 && Unix.gettimeofday () < deadline do
+        Thread.delay 0.01
+      done;
+      Alcotest.(check int) "hung-up sessions ended" 0 (Srv.session_count srv);
+      let conn = Srv_client.connect ~port () in
+      Fun.protect
+        ~finally:(fun () -> Srv_client.close conn)
+        (fun () ->
+          Alcotest.(check bool) "server still serves" true
+            (Srv_client.ping conn)))
+
+(* The client enforces the same bound: a server sending a row past it
+   gets Disconnected, not a 100 KiB row. *)
+let test_client_line_bound () =
+  let ls = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind ls (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen ls 1;
+  let port =
+    match Unix.getsockname ls with Unix.ADDR_INET (_, p) -> p | _ -> 0
+  in
+  let server =
+    Thread.create
+      (fun () ->
+        let fd, _ = Unix.accept ls in
+        ignore (Sockio.read_line (Sockio.reader fd));
+        ignore
+          (Sockio.write_all fd
+             (String.make 100_000 'y' ^ "\n# status=ok rows=1 wall_us=1\n"));
+        Unix.close fd)
+      ()
+  in
+  let conn = Srv_client.connect ~timeout_s:5. ~port () in
+  let outcome =
+    match Srv_client.query conn "( ? sub ? id=* )" with
+    | _ -> "reply"
+    | exception Srv_client.Disconnected -> "disconnected"
+  in
+  Srv_client.close conn;
+  Thread.join server;
+  Unix.close ls;
+  Alcotest.(check string) "over-long row" "disconnected" outcome
+
 let () =
   Alcotest.run "srv"
     [
@@ -217,6 +454,21 @@ let () =
         ] );
       ( "http",
         [ Alcotest.test_case "routes and streaming" `Quick test_http_routes ] );
+      ( "transport",
+        [
+          Alcotest.test_case "no delayed-ACK stall" `Quick
+            test_no_transport_stall;
+          Alcotest.test_case "server line bound" `Quick test_server_line_bound;
+          Alcotest.test_case "client line bound" `Quick test_client_line_bound;
+          Alcotest.test_case "client hang-up mid-reply" `Quick
+            test_client_hangup;
+        ] );
+      ( "reader",
+        [
+          Alcotest.test_case "random chunking = split_on_char" `Quick
+            test_reader_chunking;
+          Alcotest.test_case "line bound" `Quick test_reader_bound;
+        ] );
       ( "backpressure",
         [
           Alcotest.test_case "full queue sheds" `Quick test_shed_backpressure;
