@@ -1,15 +1,17 @@
-(* The live introspection server: a dependency-free HTTP/1.1 endpoint
-   over Unix sockets serving the observability surface while the
-   process runs — Prometheus-style scraping instead of post-hoc files.
+(* The live introspection server and the process's one HTTP listener:
+   a dependency-free HTTP/1.1 endpoint over Unix sockets serving the
+   observability surface while the process runs — Prometheus-style
+   scraping instead of post-hoc files.
 
-   One accept thread serves requests serially (handlers read shared
-   single-threaded state; OCaml sys-threads interleave at safe points,
-   so a scrape sees a consistent-enough snapshot for monitoring
-   purposes and never corrupts the registry).  Built-in routes:
+   Each connection gets a session thread, tracked in a table so [stop]
+   can end and join them all.  Handlers read shared observability
+   state that the query threads write concurrently anyway; a scrape
+   sees a consistent-enough snapshot for monitoring purposes.
+   Built-in routes:
 
      /           plain-text index of the routes
      /metrics    OpenMetrics exposition of the registry (with exemplars)
-     /healthz    {"status":"ok", uptime, served request count}
+     /healthz    {"status":"ok", uptime, served request count, sessions}
      /slowlog    the slow-query captures, JSON lines (newest threshold)
      /trace      summaries of the recent-trace ring, JSON
      /trace/<n>  the n-th recent trace (0 = newest; or a trace id —
@@ -21,8 +23,10 @@
 
    Extra handlers (e.g. /cache, whose stats live above this layer)
    register with [add_handler]; they receive the full request target
-   (query string included — [split_target] parses it).  Monitoring is
-   opt-in: nothing listens until [start] is called. *)
+   (query string included — [split_target] parses it).  The serving
+   front-end (lib/srv) mounts itself with a [front]: its /query route,
+   its line protocol and its /healthz fields.  Monitoring is opt-in:
+   nothing listens until [start] is called. *)
 
 type response = { status : int; content_type : string; body : string }
 
@@ -30,16 +34,29 @@ let respond ?(status = 200) ?(content_type = "text/plain; charset=utf-8") body
     =
   { status; content_type; body }
 
+type front = {
+  query :
+    Unix.file_descr ->
+    meth:string ->
+    params:(string * string) list ->
+    body:string ->
+    unit;
+  lines : Unix.file_descr -> Sockio.reader -> string -> unit;
+  health : unit -> (string * Json.t) list;
+}
+
 type t = {
   sock : Unix.file_descr;
   port : int;
   registry : Metrics.t;
   started_ns : int;
-  client_timeout : float;
+  front : front option;
   mutable stopping : bool;
   mutable handlers : (string * (string -> response option)) list;
-  mutable thread : Thread.t option;
-  mutable served : int;  (* total requests, for /healthz *)
+  mutable accept_thread : Thread.t option;
+  sessions : (int, Unix.file_descr * Thread.t) Hashtbl.t;  (* by thread id *)
+  smu : Mutex.t;
+  served : int Atomic.t;  (* total requests, for /healthz *)
   open_conns : Metrics.gauge;
 }
 
@@ -48,7 +65,11 @@ let reason = function
   | 404 -> "Not Found"
   | 400 -> "Bad Request"
   | 405 -> "Method Not Allowed"
-  | _ -> "Internal Server Error"
+  | 413 -> "Content Too Large"
+  | 500 -> "Internal Server Error"
+  | 503 -> "Service Unavailable"
+  | 504 -> "Gateway Timeout"
+  | _ -> ""
 
 (* --- Request targets -------------------------------------------------------- *)
 
@@ -266,9 +287,25 @@ let index_body =
    /planstats  plan-quality observatory: q-error summaries + calibration\n\
    /workload   top plans by wall time (count, io, cache hit rate, worst q)\n"
 
+(* What a mounted serving front-end adds to the index. *)
+let front_index =
+  "/query      evaluate ?q=<query>[&deadline_ms=<n>] (GET, or POST the query)\n\
+   \n\
+   Line protocol: connect and send one query per line; rows stream\n\
+   back, each response ends with a `# status=...` trailer.\n"
+
+let session_count t =
+  Mutex.lock t.smu;
+  let n = Hashtbl.length t.sessions in
+  Mutex.unlock t.smu;
+  n
+
 let builtin t path params =
   match path with
-  | "/" -> Some (respond index_body)
+  | "/" ->
+      Some
+        (respond
+           (index_body ^ if Option.is_some t.front then front_index else ""))
   | "/metrics" ->
       Some
         (respond ~content_type:Promexp.content_type_openmetrics
@@ -285,8 +322,8 @@ let builtin t path params =
         (respond ~content_type:"application/json"
            (Json.to_string
               (Json.Obj
-                 [
-                   ("status", Json.Str "ok");
+                 ([
+                    ("status", Json.Str "ok");
                    (* Whole seconds: a fractional uptime serializes with
                       variable width, so a HEAD rendered moments after a GET
                       could advertise a different Content-Length. *)
@@ -295,7 +332,8 @@ let builtin t path params =
                        (float_of_int
                           ((Mclock.now_ns () - t.started_ns) / 1_000_000_000))
                    );
-                   ("requests", Json.Num (float_of_int t.served));
+                   ("requests", Json.Num (float_of_int (Atomic.get t.served)));
+                   ("sessions", Json.Num (float_of_int (session_count t)));
                    ( "journal",
                      Json.Obj
                        ([ ("enabled", Json.Bool (Qlog.enabled ())) ]
@@ -316,7 +354,8 @@ let builtin t path params =
                      Json.Num
                        (float_of_int
                           (List.length (Alerts.firing Alerts.default))) );
-                 ])))
+                 ]
+                 @ match t.front with Some f -> f.health () | None -> []))))
   | "/alerts" ->
       Some
         (respond ~content_type:"application/json"
@@ -361,7 +400,7 @@ let route_label path =
   | exception Invalid_argument _ -> path
 
 let observe_request t ~route ~status ~ns =
-  t.served <- t.served + 1;
+  Atomic.incr t.served;
   Metrics.incr
     (Metrics.counter ~registry:t.registry
        ~help:"requests served by the introspection endpoint"
@@ -376,41 +415,16 @@ let observe_request t ~route ~status ~ns =
 
 (* Registered handlers see the full target (query string included);
    the builtins route on the bare path with the query string parsed
-   into params. *)
-let handle t target =
-  let path, params = split_target target in
-  let rec try_handlers = function
-    | [] -> (
-        match builtin t path params with
-        | Some r -> r
-        | None -> respond ~status:404 (Printf.sprintf "no route %s\n" path))
-    | (_, h) :: rest -> (
-        match h target with Some r -> r | None -> try_handlers rest)
-  in
-  try try_handlers t.handlers
+   into params.  [None]: no route. *)
+let handle t target path params =
+  try
+    match List.find_map (fun (_, h) -> h target) t.handlers with
+    | Some r -> Some r
+    | None -> builtin t path params
   with e ->
-    respond ~status:500
-      (Printf.sprintf "handler error: %s\n" (Printexc.to_string e))
-
-let read_request fd =
-  (* The request line, then the header block drained to its blank line
-     (we never expect bodies) so that closing after the response does
-     not reset the connection; bounded so a misbehaving client can't
-     keep us reading. *)
-  let r = Sockio.reader fd in
-  let rec drain budget =
-    if budget > 0 then
-      match Sockio.read_line r with
-      | None | Some "" -> ()
-      | Some line -> drain (budget - String.length line - 2)
-  in
-  match Sockio.read_line r with
-  | None -> None
-  | Some line -> (
-      drain 16_384;
-      match String.split_on_char ' ' (String.trim line) with
-      | meth :: target :: _ when meth <> "" -> Some (meth, target)
-      | _ -> None)
+    Some
+      (respond ~status:500
+         (Printf.sprintf "handler error: %s\n" (Printexc.to_string e)))
 
 (* The response head alone — shared with the serving front-end, whose
    streamed responses send a head with no [Content-Length] (the body is
@@ -436,58 +450,163 @@ let write_response fd ~head_only { status; content_type; body } =
   in
   ignore (Sockio.write_all fd (if head_only then head else head ^ body))
 
-let serve_client t fd =
+(* --- Sessions ------------------------------------------------------------- *)
+
+(* An HTTP head (header block) may take at most [head_budget] bytes,
+   and head and body must arrive within [head_timeout_ns] of the
+   request line: a client that stalls mid-head or sends header lines
+   forever loses its session instead of holding a thread until [stop]. *)
+let head_budget = 16_384
+let head_timeout_ns = 2_000_000_000
+
+(* The largest request body read (the front-end's POST /query); a
+   longer one is answered 413 unread. *)
+let max_body = 1_048_576
+
+(* METHOD SP TARGET SP HTTP/…  — anything else is not an HTTP request. *)
+let request_line line =
+  match String.split_on_char ' ' line with
+  | [ meth; target; v ] when meth <> "" && String.starts_with ~prefix:"HTTP/" v
+    ->
+      Some (meth, target)
+  | _ -> None
+
+(* The header block up to its blank line, both ends of the connection,
+   as (lowercased name, value) pairs: [None] when the stream ends first
+   (a read error, or a receive timeout [on_timeout] declines) or the
+   block overruns [budget] bytes. *)
+let read_headers ?on_timeout ?(budget = max_int) r =
+  let rec go budget acc =
+    match Sockio.read_line ?on_timeout r with
+    | Some "" -> Some (List.rev acc)
+    | Some line when String.length line + 2 <= budget ->
+        let n = String.length line in
+        go (budget - n - 2)
+          (match String.index_opt line ':' with
+          | Some i ->
+              ( String.lowercase_ascii (String.trim (String.sub line 0 i)),
+                String.trim (String.sub line (i + 1) (n - i - 1)) )
+              :: acc
+          | None -> acc)
+    | _ -> None
+  in
+  go budget []
+
+(* One HTTP request after its request line.  /query goes to the
+   mounted front-end, which writes its own (streamed) reply and
+   accounts for it; everything else is answered and accounted here,
+   under the route's label only when a route answered: the path is
+   the client's, and an unbounded label set would grow the registry
+   without bound.  HEAD gets the GET response's status and headers —
+   Content-Length included — with the body withheld. *)
+let serve_http t fd r ~on_timeout ~t0 meth target =
+  let path, params = split_target target in
+  let reply ?(route = "(other)") response =
+    write_response fd ~head_only:(meth = "HEAD") response;
+    observe_request t ~route ~status:response.status
+      ~ns:(Mclock.now_ns () - t0)
+  in
+  let length headers =
+    Option.bind (List.assoc_opt "content-length" headers) int_of_string_opt
+    |> Option.value ~default:0
+  in
+  let bad = respond ~status:400 "bad request\n" in
+  let body =
+    match Option.map length (read_headers ~on_timeout ~budget:head_budget r) with
+    | Some n when n > max_body ->
+        Error
+          (respond ~status:413
+             (Printf.sprintf "request body over %d bytes\n" max_body))
+    | Some n -> (
+        match Sockio.read_upto ~on_timeout r n with
+        | body when String.length body = n -> Ok body
+        | _ -> Error bad)
+    | None -> Error bad
+  in
+  match (body, t.front) with
+  | Error response, _ -> reply response
+  | Ok body, Some f when path = "/query" -> f.query fd ~meth ~params ~body
+  | Ok _, _ when meth = "GET" || meth = "HEAD" -> (
+      match handle t target path params with
+      | Some response -> reply ~route:(route_label path) response
+      | None ->
+          reply (respond ~status:404 (Printf.sprintf "no route %s\n" path)))
+  | Ok _, _ ->
+      reply
+        (respond ~status:405
+           (Printf.sprintf "method %s not allowed (GET, HEAD)\n" meth))
+
+(* Reads poll: the socket's short receive timeout wakes the reader
+   every half second so a session blocked on an idle client notices
+   [stopping].  Only a line-protocol client may idle before its first
+   line (pipelined clients connect early); without a front-end the
+   head deadline runs from connect. *)
+let session t fd =
+  let self = Thread.id (Thread.self ()) in
   Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    ~finally:(fun () ->
+      Mutex.lock t.smu;
+      Hashtbl.remove t.sessions self;
+      Metrics.set t.open_conns (float_of_int (Hashtbl.length t.sessions));
+      Mutex.unlock t.smu;
+      try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      (* Per-connection send/receive deadlines: a stalled client times
-         out instead of wedging the single accept thread. *)
-      Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.client_timeout;
-      Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.client_timeout;
-      let t0 = Mclock.now_ns () in
-      let finish ~route response head_only =
-        write_response fd ~head_only response;
-        observe_request t ~route ~status:response.status
-          ~ns:(Mclock.now_ns () - t0)
+      (try
+         Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.5;
+         Unix.setsockopt_float fd Unix.SO_SNDTIMEO 5.;
+         (* Replies are written whole or in row batches; none should sit
+            behind Nagle waiting for the client's delayed ACK. *)
+         Unix.setsockopt fd Unix.TCP_NODELAY true
+       with Unix.Unix_error _ -> ());
+      let r = Sockio.reader fd in
+      let until =
+        ref
+          (if Option.is_none t.front then Mclock.now_ns () + head_timeout_ns
+           else max_int)
       in
-      match read_request fd with
-      | None -> finish ~route:"(bad)" (respond ~status:400 "bad request\n") false
-      | Some (meth, target) when meth = "GET" || meth = "HEAD" ->
-          (* HEAD gets the same status/headers as GET, body withheld;
-             Content-Length still names the GET body's size, as the
-             spec wants. *)
-          finish
-            ~route:(route_label (fst (split_target target)))
-            (handle t target) (meth = "HEAD")
-      | Some (meth, target) ->
-          finish
-            ~route:(route_label (fst (split_target target)))
-            (respond ~status:405
-               (Printf.sprintf "method %s not allowed (GET, HEAD)\n" meth))
-            false)
+      let on_timeout () = (not t.stopping) && Mclock.now_ns () < !until in
+      match Sockio.read_line ~on_timeout r with
+      | None -> ()
+      | Some line -> (
+          let t0 = Mclock.now_ns () in
+          match (request_line line, t.front) with
+          | Some (meth, target), _ ->
+              until := min !until (t0 + head_timeout_ns);
+              serve_http t fd r ~on_timeout ~t0 meth target
+          | None, Some f -> f.lines fd r line
+          | None, None ->
+              write_response fd ~head_only:false
+                (respond ~status:400 "bad request\n");
+              observe_request t ~route:"(bad)" ~status:400
+                ~ns:(Mclock.now_ns () - t0)))
 
 let accept_loop t =
   while not t.stopping do
     match Unix.accept t.sock with
-    | client, _ ->
-        if t.stopping then (try Unix.close client with Unix.Unix_error _ -> ())
+    | fd, _ ->
+        if t.stopping then (try Unix.close fd with Unix.Unix_error _ -> ())
         else begin
-          Metrics.set t.open_conns 1.;
-          (try serve_client t client with _ -> ());
-          Metrics.set t.open_conns 0.
+          (* The insert happens under [smu] before the session can run
+             its removal (which also needs [smu]), so the table never
+             misses a live session or keeps a dead one. *)
+          Mutex.lock t.smu;
+          let th = Thread.create (session t) fd in
+          Hashtbl.replace t.sessions (Thread.id th) (fd, th);
+          Metrics.set t.open_conns (float_of_int (Hashtbl.length t.sessions));
+          Mutex.unlock t.smu
         end
     | exception Unix.Unix_error _ -> ()  (* stop() closes the socket *)
   done
 
 (* --- Lifecycle ------------------------------------------------------------ *)
 
-let start ?(registry = Metrics.default) ?(client_timeout_s = 2.) ~port () =
+let start ?(registry = Metrics.default) ?front ~port () =
   Sockio.ignore_sigpipe ();
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
      Unix.setsockopt sock Unix.SO_REUSEADDR true;
      Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-     Unix.listen sock 16
+     Unix.listen sock 64
    with e ->
      (try Unix.close sock with Unix.Unix_error _ -> ());
      raise e);
@@ -502,18 +621,20 @@ let start ?(registry = Metrics.default) ?(client_timeout_s = 2.) ~port () =
       port;
       registry;
       started_ns = Mclock.now_ns ();
-      client_timeout = (if client_timeout_s > 0. then client_timeout_s else 2.);
+      front;
       stopping = false;
       handlers = [];
-      thread = None;
-      served = 0;
+      accept_thread = None;
+      sessions = Hashtbl.create 16;
+      smu = Mutex.create ();
+      served = Atomic.make 0;
       open_conns =
-        Metrics.gauge ~registry
-          ~help:"connections the introspection endpoint is serving"
-          "monitor_open_connections";
+        Metrics.gauge ~registry ~help:"live connections (sessions)"
+          (if Option.is_none front then "monitor_open_connections"
+           else "srv_sessions");
     }
   in
-  t.thread <- Some (Thread.create accept_loop t);
+  t.accept_thread <- Some (Thread.create accept_loop t);
   t
 
 let port t = t.port
@@ -531,86 +652,48 @@ let stop t =
          (fun () ->
            Unix.connect s (Unix.ADDR_INET (Unix.inet_addr_loopback, t.port)))
      with Unix.Unix_error _ -> ());
-    Option.iter Thread.join t.thread;
-    try Unix.close t.sock with Unix.Unix_error _ -> ()
+    Option.iter Thread.join t.accept_thread;
+    (try Unix.close t.sock with Unix.Unix_error _ -> ());
+    (* nudge sessions off their sockets, then join them *)
+    Mutex.lock t.smu;
+    let live = Hashtbl.fold (fun _ s acc -> s :: acc) t.sessions [] in
+    List.iter
+      (fun (fd, _) ->
+        try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+      live;
+    Mutex.unlock t.smu;
+    List.iter (fun (_, th) -> Thread.join th) live
   end
 
 (* --- A minimal loopback client ---------------------------------------------- *)
 
 (* Enough HTTP to scrape our own endpoint (the bench harness does, and
    the tests): send one request, read to EOF, split status line,
-   headers and body.  Header names come back lowercased.  [body] turns
-   the request into one carrying a payload (the serving front-end's
-   POST /query). *)
-let request ?(host = "127.0.0.1") ?(meth = "GET") ?body ~port path =
-  let addr = Unix.inet_addr_of_string host in
+   headers and body.  Header names come back lowercased.  [body] is
+   the request's payload (the serving front-end's POST /query). *)
+let request ?(host = "127.0.0.1") ?(meth = "GET") ?(body = "") ~port path =
   let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close s with Unix.Unix_error _ -> ())
     (fun () ->
       Unix.setsockopt_float s Unix.SO_RCVTIMEO 5.;
       Unix.setsockopt_float s Unix.SO_SNDTIMEO 5.;
-      Unix.connect s (Unix.ADDR_INET (addr, port));
-      let req =
-        match body with
-        | None ->
-            Printf.sprintf
-              "%s %s HTTP/1.1\r\nHost: %s\r\nConnection: close\r\n\r\n" meth
-              path host
-        | Some payload ->
-            Printf.sprintf
-              "%s %s HTTP/1.1\r\nHost: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
-              meth path host (String.length payload) payload
-      in
-      ignore (Sockio.write_all s req);
-      let b = Buffer.create 1024 in
-      let chunk = Bytes.create 4096 in
-      let rec drain () =
-        let n = Unix.read s chunk 0 (Bytes.length chunk) in
-        if n > 0 then begin
-          Buffer.add_subbytes b chunk 0 n;
-          drain ()
-        end
-      in
-      (try drain () with Unix.Unix_error _ -> ());
-      let text = Buffer.contents b in
+      Unix.connect s (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
+      ignore
+        (Sockio.write_all s
+           (Printf.sprintf
+              "%s %s HTTP/1.1\r\nHost: %s\r\nContent-Length: %d\r\n\
+               Connection: close\r\n\r\n%s"
+              meth path host (String.length body) body));
+      let r = Sockio.reader s in
       let status =
-        match String.split_on_char ' ' text with
-        | _ :: code :: _ -> Option.value ~default:0 (int_of_string_opt code)
+        match Option.map (String.split_on_char ' ') (Sockio.read_line r) with
+        | Some (_ :: code :: _) ->
+            Option.value ~default:0 (int_of_string_opt code)
         | _ -> 0
       in
-      let header_end =
-        let rec find i =
-          if i + 3 >= String.length text then String.length text
-          else if
-            text.[i] = '\r' && text.[i + 1] = '\n' && text.[i + 2] = '\r'
-            && text.[i + 3] = '\n'
-          then i
-          else find (i + 1)
-        in
-        find 0
-      in
-      let headers =
-        match String.split_on_char '\n' (String.sub text 0 header_end) with
-        | [] -> []
-        | _status_line :: rest ->
-            List.filter_map
-              (fun line ->
-                match String.index_opt line ':' with
-                | None -> None
-                | Some i ->
-                    Some
-                      ( String.lowercase_ascii (String.trim (String.sub line 0 i)),
-                        String.trim
-                          (String.sub line (i + 1) (String.length line - i - 1))
-                      ))
-              rest
-      in
-      let body =
-        let start = min (String.length text) (header_end + 4) in
-        String.sub text start (String.length text - start)
-      in
-      (status, headers, body))
+      let headers = Option.value ~default:[] (read_headers r) in
+      (status, headers, Sockio.read_upto r max_int))
 
 let get ?host ~port path =
   let status, _, body = request ?host ~port path in

@@ -4,8 +4,9 @@
 
     Built-in routes: [/] (index), [/metrics] (OpenMetrics exposition
     of the registry, histogram exemplars included), [/healthz]
-    (liveness JSON: uptime, request count, journal sink size and
-    rotation limits, firing-alert count), [/alerts] (the default
+    (liveness JSON: uptime, request count, live sessions, journal sink
+    size and rotation limits, firing-alert count, and a {!front}'s
+    fields), [/alerts] (the default
     {!Alerts} evaluator's rules, states and transition history as
     JSON), [/slowlog] (slow-query captures as JSON lines, each
     annotated with whether its trace is tail-retained), [/trace]
@@ -23,19 +24,21 @@
     The endpoint observes itself:
     [monitor_requests_total{route,status}] counters and a
     [monitor_request_ns{route}] histogram (routes truncated to their
-    first path segment), plus a [monitor_open_connections] gauge.
-    Each connection gets send/receive deadlines so one stalled client
-    cannot wedge the accept thread past the timeout.
+    first path segment; requests no route answered share [(other)]),
+    plus a [monitor_open_connections] gauge of live connections.
 
-    [GET] and [HEAD] are served (HEAD returns the GET response's
-    headers — [Content-Length] included — with the body withheld);
-    every other method gets a [405], and every response, errors
-    included, carries [Content-Length].
-
-    The accept loop runs in one system thread and serves requests
-    serially; handlers read the process's single-threaded observability
-    state, which is safe for monitoring reads.  Monitoring is opt-in:
-    nothing listens until {!start}. *)
+    This is the process's one HTTP listener.  Each connection gets a
+    session thread (tracked so {!stop} can end and join them all) with
+    [TCP_NODELAY], a 5 s send deadline and reads that poll for
+    {!stop}.  The request line, a header block of at most 16 KiB and a
+    body of at most 1 MiB ([Content-Length]; longer is a [413]) must
+    arrive within 2 s of the request line, or the session ends.  [GET]
+    and [HEAD] are served (HEAD returns the GET response's headers —
+    [Content-Length] included — with the body withheld); every other
+    method gets a [405], and every response, errors included, carries
+    [Content-Length].  Handlers run on the session threads, possibly
+    concurrently.  Monitoring is opt-in: nothing listens until
+    {!start}. *)
 
 type t
 
@@ -44,21 +47,43 @@ type response = { status : int; content_type : string; body : string }
 val respond : ?status:int -> ?content_type:string -> string -> response
 (** [status] defaults to 200, [content_type] to [text/plain]. *)
 
-val start :
-  ?registry:Metrics.t -> ?client_timeout_s:float -> port:int -> unit -> t
+(** The serving front-end ([Srv] in [lib/srv]) mounted on a listener. *)
+type front = {
+  query :
+    Unix.file_descr ->
+    meth:string ->
+    params:(string * string) list ->
+    body:string ->
+    unit;
+      (** Every request for [/query], any method, with its url-decoded
+          parameters and body: writes the whole (streamed) reply to the
+          socket and accounts for it itself. *)
+  lines : Unix.file_descr -> Sockio.reader -> string -> unit;
+      (** A connection whose first line (the argument) is not an HTTP
+          request line: the line protocol, which reads on from the
+          reader.  Such a client may idle before its first line. *)
+  health : unit -> (string * Json.t) list;
+      (** Extra [/healthz] fields. *)
+}
+
+val start : ?registry:Metrics.t -> ?front:front -> port:int -> unit -> t
 (** Bind the loopback interface on [port] (0 picks a free port — see
     {!port}) and start serving.  [registry] defaults to
-    {!Metrics.default}; [client_timeout_s] (default 2.0) sets each
-    connection's send/receive deadline.  [SIGPIPE] is ignored from here
-    on ({!Sockio.ignore_sigpipe}).
+    {!Metrics.default}.  With a [front], [/] also lists [/query] and the
+    line protocol, and the connection gauge is [srv_sessions] in place
+    of [monitor_open_connections].  [SIGPIPE] is ignored from here on
+    ({!Sockio.ignore_sigpipe}).
     @raise Unix.Unix_error when the port is taken. *)
 
 val port : t -> int
 (** The bound port (useful after [start ~port:0]). *)
 
+val session_count : t -> int
+(** Live connections right now. *)
+
 val stop : t -> unit
-(** Stop serving, join the accept thread and close the socket.
-    Idempotent. *)
+(** Stop accepting, end every session (shutting its socket down) and
+    join its thread, close the listening socket.  Idempotent. *)
 
 val add_handler : t -> string -> (string -> response option) -> unit
 (** [add_handler t name fn] consults [fn] with each request target
@@ -68,10 +93,7 @@ val add_handler : t -> string -> (string -> response option) -> unit
 
 val split_target : string -> string * (string * string) list
 (** [split_target "/p?a=1&b=x%20y"] is [("/p", [("a","1"); ("b","x y")])]:
-    the path and the url-decoded query parameters in order.  Shared
-    with the serving front-end's request parsing. *)
-
-val url_decode : string -> string
+    the path and the url-decoded query parameters in order. *)
 
 val get : ?host:string -> port:int -> string -> int * string
 (** A minimal loopback HTTP client: GET the path and return
@@ -93,11 +115,9 @@ val request :
     [meth] defaults to ["GET"].
     @raise Unix.Unix_error when nothing listens. *)
 
-(** {1 HTTP plumbing shared with the serving front-end}
+(** {1 HTTP plumbing for the serving front-end}
 
-    [lib/srv] speaks the same minimal HTTP/1.1 as this endpoint; it
-    reuses the head builder and response writer rather than growing a
-    second implementation. *)
+    A {!front}'s [query] writes its own replies with these. *)
 
 val http_head :
   ?content_type:string ->

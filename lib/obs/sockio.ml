@@ -116,25 +116,17 @@ let read_line ?(on_timeout = fun () -> false) r =
   in
   go ()
 
-let read_exact ?(on_timeout = fun () -> false) r n =
-  let buffered = r.stop - r.start in
-  if buffered >= n then begin
-    let s = Bytes.sub_string r.buf r.start n in
-    r.start <- r.start + n;
-    r.scan <- max r.scan r.start;
-    Some s
-  end
-  else begin
-    let out = Bytes.create n in
-    Bytes.blit r.buf r.start out 0 buffered;
-    r.start <- r.stop;
-    r.scan <- r.stop;
-    let rec go off =
-      if off = n then Some (Bytes.unsafe_to_string out)
-      else
-        match read_some ~on_timeout r out off (n - off) with
-        | 0 -> None
-        | k -> go (off + k)
-    in
-    go buffered
-  end
+let read_upto ?(on_timeout = fun () -> false) r n =
+  let b = Buffer.create (min n 4096) in
+  let rec go () =
+    let want = n - Buffer.length b in
+    if want > 0 && (r.start < r.stop || refill ~on_timeout r) then begin
+      let k = min want (r.stop - r.start) in
+      Buffer.add_subbytes b r.buf r.start k;
+      r.start <- r.start + k;
+      r.scan <- max r.scan r.start;
+      go ()
+    end
+  in
+  go ();
+  Buffer.contents b

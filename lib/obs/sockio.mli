@@ -31,6 +31,6 @@ val read_line : ?on_timeout:(unit -> bool) -> reader -> string option
     (default: give up).  Bytes after the last newline at end of stream
     are not a line. *)
 
-val read_exact : ?on_timeout:(unit -> bool) -> reader -> int -> string option
-(** Exactly [n] bytes (buffered ones first); [None] when the stream
-    ends or fails before that, as for {!read_line}. *)
+val read_upto : ?on_timeout:(unit -> bool) -> reader -> int -> string
+(** Up to [n] bytes, buffered ones first; fewer only when the stream
+    ends or fails first, as for {!read_line}. *)

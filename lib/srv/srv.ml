@@ -1,33 +1,35 @@
-(* The concurrent query-serving front-end.
+(* The concurrent query-serving front-end, mounted on the process's
+   one HTTP listener ([Monitor]) as its [front].
 
-   One listening socket accepts both protocols: the first line of a
-   connection is sniffed — `GET /query?... HTTP/1.1` marks HTTP, any
-   other line starts the line-oriented text protocol (one query per
-   line, rows streamed back, a `# status=...` trailer per query).
-   Each connection gets a session thread that parses requests and
-   submits them to a bounded admission queue; a fixed pool of worker
-   threads — each owning its own [Engine] over the shared read-only
-   instance — executes them.  A full queue sheds the request
-   immediately (HTTP 503 + Retry-After / `# status=busy`): explicit
-   backpressure instead of unbounded buffering.  Every request carries
-   an absolute deadline measured from admission, checked before
-   execution and between result batches, so a query that waited out
-   its budget in the queue is never run, and one that exceeds it
-   mid-stream stops after shipping partial results.
+   The listener sniffs the first line of a connection: an HTTP request
+   line is HTTP (this module owns the /query route; every monitor
+   route is served too), any other line starts the line-oriented text
+   protocol (one query per line, rows streamed back, a `# status=...`
+   trailer per query).  The connection's session thread parses
+   requests and submits them to a bounded admission queue; a fixed
+   pool of worker threads — each owning its own [Engine] over the
+   shared read-only instance — executes them.  A full queue sheds the
+   request immediately (HTTP 503 + Retry-After / `# status=busy`):
+   explicit backpressure instead of unbounded buffering.  Every
+   request carries an absolute deadline measured from admission,
+   checked before execution and between result batches, so a query
+   that waited out its budget in the queue is never run, and one that
+   exceeds it mid-stream stops after shipping partial results.
 
    Results ship as they are produced: evaluation uses the streaming
    [Source] pipeline and flushes 64-row batches to the socket while
    the query is still running, so time-to-first-row is independent of
    result size.  The response head rides with the first batch and the
    trailer with the last, so a reply of at most one batch is a single
-   write; accepted sockets set TCP_NODELAY, so no batch waits for the
+   write; the listener sets TCP_NODELAY, so no batch waits for the
    client's delayed ACK.
 
    Instrumented end to end: srv_requests_total{route,status},
    srv_request_ns{route} (admission to completion — queue wait
-   included, which is what an SLO on served latency must measure),
-   srv_queue_depth, srv_sessions, srv_shed_total; each executed query
-   journals a Qlog event carrying a fresh trace id. *)
+   included, which is what an SLO on served latency must measure) for
+   /query and line-protocol requests, srv_queue_depth, srv_shed_total;
+   the listener keeps srv_sessions; each executed query journals a
+   Qlog event carrying a fresh trace id. *)
 
 type status = S_ok | S_error of string | S_busy | S_deadline
 
@@ -40,9 +42,7 @@ type job = {
   jcv : Condition.t;
 }
 
-type t = {
-  sock : Unix.file_descr;
-  port : int;
+type pool = {
   registry : Metrics.t;
   queue_cap : int;
   n_workers : int;
@@ -52,11 +52,7 @@ type t = {
   qmu : Mutex.t;
   qcv : Condition.t;
   mutable workers : Thread.t list;
-  mutable accept_thread : Thread.t option;
-  sessions : (int, Unix.file_descr * Thread.t) Hashtbl.t;  (* by thread id *)
-  smu : Mutex.t;
   g_depth : Metrics.gauge;
-  g_sessions : Metrics.gauge;
   c_shed : Metrics.counter;
 }
 
@@ -129,22 +125,11 @@ let worker_loop t make_engine () =
   in
   loop ()
 
-(* --- Socket plumbing ------------------------------------------------------ *)
-
-(* Session reads poll: the socket's short receive timeout wakes the
-   reader every half second so a session blocked on an idle client
-   still notices [stopping] and exits promptly. *)
-let keep_waiting t () = not t.stopping
-let read_line t r = Sockio.read_line ~on_timeout:(keep_waiting t) r
-
-(* The largest request body (POST /query) a session reads. *)
-let max_body = 1_048_576
-
-(* --- Request text --------------------------------------------------------- *)
-
-(* Target parsing (path + url-decoded query params) is shared with the
-   introspection endpoint — one HTTP dialect, one parser. *)
-let split_target = Monitor.split_target
+let depth t =
+  Mutex.lock t.qmu;
+  let n = Queue.length t.queue in
+  Mutex.unlock t.qmu;
+  n
 
 (* --- Execution ------------------------------------------------------------ *)
 
@@ -305,18 +290,23 @@ let synthetic_span ~name ~detail ~wall_ns : Trace.span =
 let serve_query t fd ~route ~write_head ~deadline_ns query_text =
   let submitted = Mclock.now_ns () in
   let absolute_deadline = submitted + deadline_ns in
+  (* Shed at admission (busy), or the budget died in the queue
+     (deadline): answer without running, under a synthetic span. *)
+  let refuse status name =
+    let wall = Mclock.now_ns () - submitted in
+    let sp = synthetic_span ~name ~detail:query_text ~wall_ns:wall in
+    ignore
+      (Tail.consider ~origin:"srv" ~outcome:(tail_outcome status) ~wall_ns:wall
+         sp);
+    ignore
+      (Sockio.write_all fd
+         (write_head status ^ trailer status ~rows:0 ~wall_ns:wall));
+    observe ~trace_id:sp.Trace.trace_id t ~route ~status:(http_code status)
+      ~ns:wall
+  in
   let run engine =
-    if Mclock.now_ns () > absolute_deadline then begin
-      (* the budget died in the queue: don't run at all *)
-      let wall = Mclock.now_ns () - submitted in
-      let sp = synthetic_span ~name:"queue-deadline" ~detail:query_text ~wall_ns:wall in
-      ignore (Tail.consider ~origin:"srv" ~outcome:`Deadline ~wall_ns:wall sp);
-      ignore
-        (Sockio.write_all fd
-           (write_head S_deadline ^ trailer S_deadline ~rows:0 ~wall_ns:wall));
-      observe ~trace_id:sp.Trace.trace_id t ~route
-        ~status:(http_code S_deadline) ~ns:wall
-    end
+    if Mclock.now_ns () > absolute_deadline then
+      refuse S_deadline "queue-deadline"
     else begin
       (* The head is staged ahead of the rows: it leaves with the first
          batch, and a reply of at most one batch (head, rows, trailer)
@@ -344,51 +334,9 @@ let serve_query t fd ~route ~write_head ~deadline_ns query_text =
   in
   match submit t run with
   | Admitted j -> wait_job j
-  | Shed ->
-      let wall = Mclock.now_ns () - submitted in
-      let sp = synthetic_span ~name:"shed" ~detail:query_text ~wall_ns:wall in
-      ignore (Tail.consider ~origin:"srv" ~outcome:`Shed ~wall_ns:wall sp);
-      ignore
-        (Sockio.write_all fd
-           (write_head S_busy ^ trailer S_busy ~rows:0 ~wall_ns:0));
-      observe ~trace_id:sp.Trace.trace_id t ~route ~status:503 ~ns:wall
+  | Shed -> refuse S_busy "shed"
 
 (* --- The HTTP face --------------------------------------------------------- *)
-
-let index_body =
-  "ndq serving front-end\n\
-   /query?q=<query>[&deadline_ms=<n>]   evaluate (GET or POST, body = query)\n\
-   /healthz                             liveness JSON\n\
-   \n\
-   Line protocol: connect and send one query per line; rows stream\n\
-   back, each response ends with a `# status=...` trailer.\n"
-
-let healthz_body t =
-  Json.to_string
-    (Json.Obj
-       [
-         ("status", Json.Str "ok");
-         ("workers", Json.Num (float_of_int t.n_workers));
-         ( "queue_depth",
-           Json.Num
-             (float_of_int
-                (Mutex.lock t.qmu;
-                 let n = Queue.length t.queue in
-                 Mutex.unlock t.qmu;
-                 n)) );
-         ( "sessions",
-           Json.Num
-             (float_of_int
-                (Mutex.lock t.smu;
-                 let n = Hashtbl.length t.sessions in
-                 Mutex.unlock t.smu;
-                 n)) );
-       ])
-
-let respond_simple t fd ~route response =
-  let t0 = Mclock.now_ns () in
-  Monitor.write_response fd ~head_only:false response;
-  observe t ~route ~status:response.Monitor.status ~ns:(Mclock.now_ns () - t0)
 
 (* Streamed /query head: no Content-Length, the body is EOF-delimited;
    busy additionally advertises Retry-After, the explicit backpressure
@@ -398,77 +346,36 @@ let query_head status =
   Monitor.http_head ~content_type:"text/plain; charset=utf-8" ~headers
     (http_code status)
 
-let handle_http t fd r first_line =
-  match String.split_on_char ' ' first_line with
-  | meth :: target :: _ -> (
-      (* drain headers; keep Content-Length for the body *)
-      let content_length = ref 0 in
-      let rec headers () =
-        match read_line t r with
-        | None | Some "" -> ()
-        | Some line ->
-            (match String.index_opt line ':' with
-            | Some i
-              when String.lowercase_ascii (String.trim (String.sub line 0 i))
-                   = "content-length" -> (
-                match
-                  int_of_string_opt
-                    (String.trim
-                       (String.sub line (i + 1) (String.length line - i - 1)))
-                with
-                | Some n -> content_length := n
-                | None -> ())
-            | _ -> ());
-            headers ()
+(* The /query route: GET ?q= or POST the query text, optional
+   deadline_ms. *)
+let serve_http t fd ~meth ~params ~body =
+  let reply status text =
+    let t0 = Mclock.now_ns () in
+    Monitor.write_response fd ~head_only:(meth = "HEAD")
+      (Monitor.respond ~status text);
+    observe t ~route:"/query" ~status ~ns:(Mclock.now_ns () - t0)
+  in
+  match meth with
+  | "GET" | "POST" -> (
+      let query_text =
+        String.trim
+          (if body <> "" then body
+           else Option.value ~default:"" (List.assoc_opt "q" params))
       in
-      headers ();
-      let body =
-        if !content_length > 0 && !content_length <= max_body then
-          Option.value ~default:""
-            (Sockio.read_exact ~on_timeout:(keep_waiting t) r !content_length)
-        else ""
+      let deadline_ns =
+        match
+          Option.bind (List.assoc_opt "deadline_ms" params) int_of_string_opt
+        with
+        | Some ms when ms > 0 -> ms * 1_000_000
+        | _ -> t.deadline_ns
       in
-      let path, params = split_target target in
-      match (meth, path) with
-      | ("GET" | "HEAD"), "/" ->
-          respond_simple t fd ~route:"/" (Monitor.respond index_body)
-      | ("GET" | "HEAD"), "/healthz" ->
-          respond_simple t fd ~route:"/healthz"
-            (Monitor.respond ~content_type:"application/json" (healthz_body t))
-      | ("GET" | "POST"), "/query" -> (
-          let query_text =
-            if body <> "" then String.trim body
-            else
-              match List.assoc_opt "q" params with
-              | Some q -> String.trim q
-              | None -> ""
-          in
-          let deadline_ns =
-            match List.assoc_opt "deadline_ms" params with
-            | Some s -> (
-                match int_of_string_opt s with
-                | Some ms when ms > 0 -> ms * 1_000_000
-                | _ -> t.deadline_ns)
-            | None -> t.deadline_ns
-          in
-          match query_text with
-          | "" ->
-              respond_simple t fd ~route:"/query"
-                (Monitor.respond ~status:400
-                   "missing query: GET /query?q=... or POST the query text\n")
-          | q -> serve_query t fd ~route:"/query" ~write_head:query_head
-                   ~deadline_ns q)
-      | _, ("/" | "/healthz" | "/query") ->
-          respond_simple t fd ~route:path
-            (Monitor.respond ~status:405
-               (Printf.sprintf "method %s not allowed\n" meth))
-      | _ ->
-          respond_simple t fd ~route:"(other)"
-            (Monitor.respond ~status:404
-               (Printf.sprintf "no route %s\n" path)))
-  | _ ->
-      respond_simple t fd ~route:"(bad)"
-        (Monitor.respond ~status:400 "bad request\n")
+      match query_text with
+      | "" ->
+          reply 400 "missing query: GET /query?q=... or POST the query text\n"
+      | q ->
+          serve_query t fd ~route:"/query" ~write_head:query_head ~deadline_ns
+            q)
+  | meth -> reply 405 (Printf.sprintf "method %s not allowed\n" meth)
 
 (* --- The line-protocol face ------------------------------------------------ *)
 
@@ -476,7 +383,10 @@ let handle_http t fd r first_line =
    alone reports status. *)
 let line_head _status = ""
 
+(* Reads poll (the listener sets a short receive timeout) so an idle
+   session notices [stopping] and exits promptly. *)
 let handle_line_session t fd r first_line =
+  let read_line () = Sockio.read_line ~on_timeout:(fun () -> not t.stopping) r in
   let deadline = ref t.deadline_ns in
   let handle line =
     match String.trim line with
@@ -496,82 +406,20 @@ let handle_line_session t fd r first_line =
   in
   let rec loop line =
     if handle line && not t.stopping then
-      match read_line t r with None -> () | Some l -> loop l
+      match read_line () with None -> () | Some l -> loop l
   in
   loop first_line
 
-(* --- Sessions -------------------------------------------------------------- *)
-
-let looks_like_http line =
-  (* METHOD SP TARGET SP HTTP/…  *)
-  match String.split_on_char ' ' line with
-  | [ _; _; v ] -> String.length v >= 5 && String.sub v 0 5 = "HTTP/"
-  | _ -> false
-
-let session t fd =
-  let self = Thread.id (Thread.self ()) in
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.lock t.smu;
-      Hashtbl.remove t.sessions self;
-      Metrics.set t.g_sessions (float_of_int (Hashtbl.length t.sessions));
-      Mutex.unlock t.smu;
-      try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      (try
-         Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.5;
-         Unix.setsockopt_float fd Unix.SO_SNDTIMEO 5.;
-         (* Replies are written whole or in row batches; none should sit
-            behind Nagle waiting for the client's delayed ACK. *)
-         Unix.setsockopt fd Unix.TCP_NODELAY true
-       with Unix.Unix_error _ -> ());
-      let r = Sockio.reader fd in
-      match read_line t r with
-      | None -> ()
-      | Some line ->
-          if looks_like_http line then handle_http t fd r line
-          else handle_line_session t fd r line)
-
-let accept_loop t () =
-  while not t.stopping do
-    match Unix.accept t.sock with
-    | fd, _ ->
-        if t.stopping then (try Unix.close fd with Unix.Unix_error _ -> ())
-        else begin
-          (* The insert happens under [smu] before the session can run
-             its removal (which also needs [smu]), so the table never
-             misses a live session or keeps a dead one. *)
-          Mutex.lock t.smu;
-          let th = Thread.create (fun () -> session t fd) () in
-          Hashtbl.replace t.sessions (Thread.id th) (fd, th);
-          Metrics.set t.g_sessions (float_of_int (Hashtbl.length t.sessions));
-          Mutex.unlock t.smu
-        end
-    | exception Unix.Unix_error _ -> ()  (* stop() closes the socket *)
-  done
-
 (* --- Lifecycle ------------------------------------------------------------- *)
+
+type t = { pool : pool; listener : Monitor.t }
 
 let start ?(registry = Metrics.default) ?(workers = 4) ?(queue = 64)
     ?(deadline_ms = 5_000) ?(port = 0) ~make_engine () =
   if workers < 1 then invalid_arg "Srv.start: workers must be positive";
   if queue < 1 then invalid_arg "Srv.start: queue must be positive";
-  Sockio.ignore_sigpipe ();
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt sock Unix.SO_REUSEADDR true;
-     Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-     Unix.listen sock 64
-   with e ->
-     (try Unix.close sock with Unix.Unix_error _ -> ());
-     raise e);
-  let port =
-    match Unix.getsockname sock with Unix.ADDR_INET (_, p) -> p | _ -> port
-  in
-  let t =
+  let pool =
     {
-      sock;
-      port;
       registry;
       queue_cap = queue;
       n_workers = workers;
@@ -581,69 +429,48 @@ let start ?(registry = Metrics.default) ?(workers = 4) ?(queue = 64)
       qmu = Mutex.create ();
       qcv = Condition.create ();
       workers = [];
-      accept_thread = None;
-      sessions = Hashtbl.create 16;
-      smu = Mutex.create ();
       g_depth =
         Metrics.gauge ~registry ~help:"requests waiting in the admission queue"
           "srv_queue_depth";
-      g_sessions =
-        Metrics.gauge ~registry ~help:"live serving sessions (connections)"
-          "srv_sessions";
       c_shed =
         Metrics.counter ~registry
           ~help:"requests shed because the admission queue was full"
           "srv_shed_total";
     }
   in
-  t.workers <-
-    List.init workers (fun _ -> Thread.create (worker_loop t make_engine) ());
-  t.accept_thread <- Some (Thread.create (accept_loop t) ());
-  t
+  let listener =
+    Monitor.start ~registry ~port
+      ~front:
+        {
+          Monitor.query = serve_http pool;
+          lines = handle_line_session pool;
+          health =
+            (fun () ->
+              [
+                ("workers", Json.Num (float_of_int workers));
+                ("queue_depth", Json.Num (float_of_int (depth pool)));
+              ]);
+        }
+      ()
+  in
+  pool.workers <-
+    List.init workers (fun _ -> Thread.create (worker_loop pool make_engine) ());
+  { pool; listener }
 
-let port t = t.port
-let workers t = t.n_workers
-let queue_capacity t = t.queue_cap
+let port t = Monitor.port t.listener
+let workers t = t.pool.n_workers
+let queue_capacity t = t.pool.queue_cap
+let queue_depth t = depth t.pool
+let session_count t = Monitor.session_count t.listener
 
-let queue_depth t =
-  Mutex.lock t.qmu;
-  let n = Queue.length t.queue in
-  Mutex.unlock t.qmu;
-  n
-
-let session_count t =
-  Mutex.lock t.smu;
-  let n = Hashtbl.length t.sessions in
-  Mutex.unlock t.smu;
-  n
-
-let stop t =
+let stop { pool = t; listener } =
   if not t.stopping then begin
+    (* From here admission sheds; workers drain what was admitted, then
+       exit, and only then are the sessions waiting on them ended. *)
     t.stopping <- true;
-    (* wake a blocked accept with a throwaway connection *)
-    (try
-       let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-       Fun.protect
-         ~finally:(fun () -> try Unix.close s with Unix.Unix_error _ -> ())
-         (fun () ->
-           Unix.connect s (Unix.ADDR_INET (Unix.inet_addr_loopback, t.port)))
-     with Unix.Unix_error _ -> ());
-    Option.iter Thread.join t.accept_thread;
-    (try Unix.close t.sock with Unix.Unix_error _ -> ());
-    (* workers drain what was admitted, then exit *)
     Mutex.lock t.qmu;
     Condition.broadcast t.qcv;
     Mutex.unlock t.qmu;
     List.iter Thread.join t.workers;
-    (* nudge idle sessions off their sockets, then join them *)
-    Mutex.lock t.smu;
-    let live = Hashtbl.fold (fun _ s acc -> s :: acc) t.sessions [] in
-    List.iter
-      (fun (fd, _) ->
-        try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-      live;
-    Mutex.unlock t.smu;
-    List.iter (fun (_, th) -> Thread.join th) live;
-    Metrics.set t.g_sessions 0.;
-    set_depth t 0
+    Monitor.stop listener
   end

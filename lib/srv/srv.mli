@@ -1,46 +1,57 @@
-(** The concurrent query-serving front-end: a socket server executing
-    L0–L3 query text on a fixed worker pool over the shared read-only
-    instance.
+(** The concurrent query-serving front-end: L0–L3 query text executed
+    on a fixed worker pool over the shared read-only instance, served
+    from a {!Monitor} listener that this module mounts itself on.
 
     One listening port speaks both protocols, sniffed on the first
     line of each connection:
 
-    - {b HTTP/1.1} (the {!Monitor} machinery): [GET /query?q=<query>]
-      or [POST /query] with the query text as the body; optional
+    - {b HTTP/1.1}: [GET /query?q=<query>] or [POST /query] with the
+      query text as the body (at most 1 MiB, else [413]); optional
       [deadline_ms] query parameter.  The response streams result rows
       (one DN per line) EOF-delimited — no [Content-Length] — and ends
-      with a [# status=...] trailer line.  [/] is an index and
-      [/healthz] liveness JSON.
+      with a [# status=...] trailer line.  Other methods on [/query]
+      get [405], a missing query [400].  Every {!Monitor} route is
+      served on the same port: [/] (index, [/query] included),
+      [/healthz] (liveness JSON, with [workers], [queue_depth] and
+      [sessions]), [/metrics], [/alerts], [/dashboard], [/range],
+      [/trace], [/tail], [/slowlog], [/planstats] and [/workload].
     - {b Line protocol}: one query per line; rows stream back, each
       response ending with the same trailer.  [PING] answers [PONG],
       [DEADLINE <ms>] sets the session's deadline, [QUIT]/[BYE] closes.
+      A line-protocol client may idle before its first line; an HTTP
+      request must be complete within 2 s of its request line.
 
     The trailer is one of
     [# status=ok rows=<n> wall_us=<n>],
     [# status=deadline rows=<n> wall_us=<n>] (partial rows shipped),
     [# status=busy retry_ms=<n>] (shed at admission; HTTP also sends
-    503 + [Retry-After]) or [# status=error msg="..."].
+    [503 Service Unavailable] + [Retry-After]; an expired budget with
+    no rows shipped is [504 Gateway Timeout]) or
+    [# status=error msg="..."].
 
-    Concurrency model: a session thread per connection parses requests
-    and submits them to a bounded admission queue; [workers] worker
-    threads — each owning its own {!Engine} built by [make_engine] —
-    execute and stream results back.  A full queue sheds instead of
-    buffering (explicit backpressure).  Deadlines are absolute from
-    admission: a request whose budget died waiting is not executed,
-    and one exceeding it mid-stream stops after the rows already
-    shipped.
+    Concurrency model: the listener's session thread per connection
+    parses requests and submits them to a bounded admission queue;
+    [workers] worker threads — each owning its own {!Engine} built by
+    [make_engine] — execute and stream results back.  A full queue
+    sheds instead of buffering (explicit backpressure).  Deadlines are
+    absolute from admission: a request whose budget died waiting is
+    not executed, and one exceeding it mid-stream stops after the rows
+    already shipped.
 
     Transport: accepted sockets set [TCP_NODELAY].  Rows stream in
     64-row batches; the head leaves with the first batch and the
     trailer with the last, so a reply of at most 64 rows is one write.
     Request lines longer than {!Sockio.max_line} end the session.
 
-    Observability: [srv_requests_total{route,status}],
+    Observability: [srv_requests_total{route,status}] and
     [srv_request_ns{route}] (admission → completion, queue wait
-    included), [srv_queue_depth], [srv_sessions] and [srv_shed_total]
-    in the given registry; every executed query records a {!Qlog}
-    event carrying a fresh trace id.  {!Alerts.install_defaults}
-    includes SLO rules over the latency histogram and the shed rate. *)
+    included) count [/query] and line-protocol requests; every other
+    route counts in the listener's [monitor_requests_total] and
+    [monitor_request_ns].  [srv_queue_depth], [srv_sessions] and
+    [srv_shed_total] live in the given registry too; every executed
+    query records a {!Qlog} event carrying a fresh trace id.
+    {!Alerts.install_defaults} includes SLO rules over the latency
+    histogram and the shed rate. *)
 
 type t
 

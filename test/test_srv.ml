@@ -134,6 +134,161 @@ let test_http_routes () =
       let status, _, _ = get "/query" in
       Alcotest.(check int) "missing q" 400 status)
 
+(* HEAD on the serving port answers like GET — same status, same
+   Content-Length — with the body withheld. *)
+let test_http_head () =
+  let instance = mk_instance ~size:50 () in
+  with_srv instance (fun srv ->
+      let port = Srv.port srv in
+      List.iter
+        (fun path ->
+          let gstatus, gheaders, _ = Monitor.request ~port path in
+          let hstatus, hheaders, hbody =
+            Monitor.request ~meth:"HEAD" ~port path
+          in
+          Alcotest.(check int) (path ^ " HEAD status = GET") gstatus hstatus;
+          Alcotest.(check (option string))
+            (path ^ " HEAD Content-Length = GET")
+            (List.assoc_opt "content-length" gheaders)
+            (List.assoc_opt "content-length" hheaders);
+          Alcotest.(check string) (path ^ " HEAD body") "" hbody)
+        [ "/healthz"; "/" ])
+
+(* Send [request] verbatim on a fresh connection; return the response's
+   status line. *)
+let status_line ~port request =
+  let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close s)
+    (fun () ->
+      Unix.setsockopt_float s Unix.SO_RCVTIMEO 10.;
+      Unix.connect s (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      ignore (Sockio.write_all s request);
+      Option.value ~default:"" (Sockio.read_line (Sockio.reader s)))
+
+let heavy = "( d ( ? sub ? id=* ) ( ? sub ? id=* ) )"
+
+let get_query ?(params = "") q =
+  Printf.sprintf "GET /query?q=%s%s HTTP/1.1\r\nHost: x\r\n\r\n"
+    (url_encode q) params
+
+(* A shed reply and a deadline reply carry their own reason phrases
+   (the 1-worker / 1-slot and 1 ms setups of the backpressure tests). *)
+let test_http_reason_phrases () =
+  with_srv ~workers:1 ~queue:1 (mk_instance ~size:800 ()) (fun srv ->
+      let port = Srv.port srv in
+      let lines = ref [] and lmu = Mutex.create () in
+      let rounds = ref 0 in
+      while
+        (not (List.exists (String.starts_with ~prefix:"HTTP/1.1 503") !lines))
+        && !rounds < 5
+      do
+        incr rounds;
+        let one () =
+          let l = try status_line ~port (get_query heavy) with _ -> "" in
+          Mutex.protect lmu (fun () -> lines := l :: !lines)
+        in
+        List.iter Thread.join (List.init 12 (fun _ -> Thread.create one ()))
+      done;
+      Alcotest.(check bool) "shed is 503 Service Unavailable" true
+        (List.mem "HTTP/1.1 503 Service Unavailable" !lines));
+  with_srv (mk_instance ~size:3000 ~seed:5 ()) (fun srv ->
+      let port = Srv.port srv in
+      let lines =
+        List.init 3 (fun _ ->
+            status_line ~port (get_query ~params:"&deadline_ms=1" heavy))
+      in
+      Alcotest.(check bool) "expired budget is 504 Gateway Timeout" true
+        (List.mem "HTTP/1.1 504 Gateway Timeout" lines))
+
+(* An HTTP head that stalls after its request line, or that never ends,
+   loses its session within the head deadline (2 s, reads polled every
+   0.5 s); the session table empties. *)
+let test_http_head_bounded () =
+  let instance = mk_instance ~size:50 () in
+  with_srv instance (fun srv ->
+      let port = Srv.port srv in
+      let closes_within label send =
+        let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.setsockopt_float s Unix.SO_RCVTIMEO 10.;
+        Unix.connect s (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+        let t0 = Unix.gettimeofday () in
+        let sender = Thread.create send s in
+        let buf = Bytes.create 4096 in
+        let rec ended () =
+          match Unix.read s buf 0 (Bytes.length buf) with
+          | 0 -> true
+          | _ -> ended ()
+          | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true
+          | exception Unix.Unix_error _ -> false
+        in
+        let ended = ended () in
+        let wall = Unix.gettimeofday () -. t0 in
+        (try Unix.shutdown s Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+        Thread.join sender;
+        Unix.close s;
+        if not (ended && wall < 4.) then
+          Alcotest.failf "%s: session still open after %.1f s" label wall
+      in
+      closes_within "request line, then nothing" (fun s ->
+          ignore (Sockio.write_all s "GET / HTTP/1.1\r\n"));
+      closes_within "endless header lines" (fun s ->
+          let line = "X-Filler: " ^ String.make 90 'a' ^ "\r\n" in
+          let rec go n =
+            if n > 0 && Sockio.write_all s line then go (n - 1)
+          in
+          ignore (Sockio.write_all s "GET / HTTP/1.1\r\n");
+          go 10_000);
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      while Srv.session_count srv > 0 && Unix.gettimeofday () < deadline do
+        Thread.delay 0.01
+      done;
+      Alcotest.(check int) "no sessions linger" 0 (Srv.session_count srv))
+
+(* A POST body over the 1 MiB bound is refused whole: 413, with
+   Content-Length. *)
+let test_http_body_bound () =
+  let instance = mk_instance ~size:50 () in
+  with_srv instance (fun srv ->
+      let status, headers, _ =
+        Monitor.request ~meth:"POST"
+          ~body:(String.make (1_048_576 + 1) ' ')
+          ~port:(Srv.port srv) "/query"
+      in
+      Alcotest.(check int) "oversized body" 413 status;
+      Alcotest.(check bool) "413 has Content-Length" true
+        (List.mem_assoc "content-length" headers))
+
+(* The serving port is also the monitor: its routes answer there, with
+   the same method rules. *)
+let test_monitor_routes_on_serving_port () =
+  let instance = mk_instance ~size:50 () in
+  let registry = Metrics.create () in
+  with_srv ~registry instance (fun srv ->
+      let port = Srv.port srv in
+      let conn = Srv_client.connect ~port () in
+      ignore (Srv_client.query conn "( ? sub ? id=* )");
+      Srv_client.close conn;
+      let status, body = Monitor.get ~port "/metrics" in
+      Alcotest.(check int) "/metrics status" 200 status;
+      Alcotest.(check bool) "/metrics has srv_requests_total" true
+        (contains ~affix:"srv_requests_total" body);
+      List.iter
+        (fun path ->
+          Alcotest.(check int) (path ^ " status") 200
+            (fst (Monitor.get ~port path)))
+        [ "/alerts"; "/dashboard" ];
+      let status, _, _ = Monitor.request ~meth:"POST" ~port "/metrics" in
+      Alcotest.(check int) "POST /metrics" 405 status;
+      (* a client's unknown paths must not become label values *)
+      List.iter
+        (fun path -> ignore (Monitor.request ~meth:"GET" ~port path))
+        [ "/nope-1"; "/nope-2" ];
+      ignore (Monitor.request ~meth:"POST" ~port "/nope-3");
+      let _, body = Monitor.get ~port "/metrics" in
+      Alcotest.(check bool) "unknown paths share one label" false
+        (contains ~affix:"/nope-" body))
+
 (* A 1-worker / 1-slot server under a burst of concurrent heavy
    queries must shed — Busy with a retry hint — and the shed counter
    must move.  Retries until the race lands (each round sends 12
@@ -453,7 +608,17 @@ let () =
             test_differential_concurrency;
         ] );
       ( "http",
-        [ Alcotest.test_case "routes and streaming" `Quick test_http_routes ] );
+        [
+          Alcotest.test_case "routes and streaming" `Quick test_http_routes;
+          Alcotest.test_case "HEAD withholds the body" `Quick test_http_head;
+          Alcotest.test_case "shed and deadline reason phrases" `Quick
+            test_http_reason_phrases;
+          Alcotest.test_case "request head bounded" `Quick
+            test_http_head_bounded;
+          Alcotest.test_case "oversized body is 413" `Quick test_http_body_bound;
+          Alcotest.test_case "monitor routes on the serving port" `Quick
+            test_monitor_routes_on_serving_port;
+        ] );
       ( "transport",
         [
           Alcotest.test_case "no delayed-ACK stall" `Quick
